@@ -283,7 +283,6 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
         fit = fit_lqmm(
             data,
             tau,
-            quadrature_order=config.quadrature_order,
             restarts=config.lqmm.restarts,
         )
         boot = bootstrap_fits(
@@ -291,7 +290,6 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
             tau,
             B=config.lqmm.bootstrap_B,
             seed=config.lqmm.seed + idx,
-            quadrature_order=config.quadrature_order,
             base_fit=fit,
         )
         tag = f"{tau:g}"

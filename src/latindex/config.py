@@ -82,8 +82,16 @@ class PipelineConfig:
             isinstance(self.ebp.statistic, float) and 0 < self.ebp.statistic < 1
         ):
             raise ValidationError("ebp.statistic must be 'median', 'mean' or a quantile level")
-        if self.quadrature_order < 1 or self.quadrature_order > 200:
-            raise ValidationError("quadrature_order must be in [1, 200]")
+        if not isinstance(self.quadrature_order, int) or not 1 <= self.quadrature_order <= 200:
+            raise ValidationError("quadrature_order must be an integer in [1, 200]")
+        # The replicate floors of bootstrap_fits and ebp_indicator, checked
+        # here so a stage fails before any model fit runs.
+        for name, count, low in (
+            ("lqmm.bootstrap_B", self.lqmm.bootstrap_B, 50),
+            ("ebp.B", self.ebp.B, 1),
+        ):
+            if not isinstance(count, int) or count < low:
+                raise ValidationError(f"{name} must be an integer >= {low}")
         return self
 
     def to_json(self) -> str:
@@ -92,7 +100,10 @@ class PipelineConfig:
         return to_json_text(doc)
 
 
-def _merge(section_cls, doc: dict, defaults):
+SECTIONS = ("em", "ebp", "lqmm", "flags", "simulate")
+
+
+def _merge(doc: dict, defaults):
     unknown = set(doc) - {f for f in defaults.__dataclass_fields__}
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -105,25 +116,24 @@ def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return cfg.validate()
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
 
-    sections = {
-        "em": EmSettings,
-        "ebp": EbpSettings,
-        "lqmm": LqmmSettings,
-        "flags": Flags,
-        "simulate": SimulateSettings,
-    }
     updates = {}
     for key, value in doc.items():
-        if key in sections:
+        if key in SECTIONS:
             if not isinstance(value, dict):
                 raise ValidationError(f"config section {key!r} must be an object")
             if key == "lqmm" and "taus" in value:
-                value = {**value, "taus": tuple(float(t) for t in value["taus"])}
-            updates[key] = _merge(sections[key], value, getattr(cfg, key))
+                try:
+                    value = {**value, "taus": tuple(float(t) for t in value["taus"])}
+                except (TypeError, ValueError):
+                    raise ValidationError("lqmm.taus must be a list of numbers") from None
+            updates[key] = _merge(value, getattr(cfg, key))
         elif key in cfg.__dataclass_fields__:
             updates[key] = value
         else:

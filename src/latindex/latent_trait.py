@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateItemError, DegenerateScaleError, NumericalError, ValidationError
-from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation
+from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation, log_node_posterior
 from .serialize import to_json_text
 
 BETA_CAP = 30.0
@@ -168,13 +168,17 @@ def item_probability(beta0, beta1, z):
     strictly inside (0, 1) even at extreme logits.
     """
     eta = np.asarray(beta0, dtype=float) + np.asarray(beta1, dtype=float) * np.asarray(z, dtype=float)
-    # Both np.where branches evaluate; the unused one may overflow harmlessly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
-    p = np.clip(p, 1e-300, 1.0 - 1e-16)
+    p = np.clip(_sigmoid(eta), 1e-300, 1.0 - 1e-16)
     if eta.ndim == 0:
         return float(p)
     return p
+
+
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-eta)) without overflow; exactly 0 or 1 at extreme eta."""
+    # Both np.where branches evaluate; the unused one may overflow harmlessly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
 
 
 def _log_sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -182,10 +186,18 @@ def _log_sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, -np.log1p(np.exp(-np.abs(eta))), eta - np.log1p(np.exp(-np.abs(eta))))
 
 
-def _log_item_probs(params: ItemParameters, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log pi, log(1 - pi)) on the Q x p grid of nodes by items."""
-    eta = params.beta0[None, :] + params.beta1[None, :] * z[:, None]
-    return _log_sigmoid(eta), _log_sigmoid(-eta)
+def _indicators(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, x0): 1.0 where a response is an observed 1 (an observed 0), else 0.0."""
+    observed = ~np.isnan(responses)
+    x1 = np.where(observed, np.nan_to_num(responses), 0.0)
+    x0 = np.where(observed, 1.0 - np.nan_to_num(responses), 0.0)
+    return x1, x0
+
+
+def _node_loglik(x1: np.ndarray, x0: np.ndarray, beta0, beta1, z: np.ndarray) -> np.ndarray:
+    """n x Q matrix of log P(x_k | z_q) from the response indicators."""
+    eta = beta0[None, :] + beta1[None, :] * z[:, None]
+    return x1 @ _log_sigmoid(eta).T + x0 @ _log_sigmoid(-eta).T
 
 
 def _unit_node_loglik(data: ResponseMatrix, params: ItemParameters, z: np.ndarray) -> np.ndarray:
@@ -194,11 +206,7 @@ def _unit_node_loglik(data: ResponseMatrix, params: ItemParameters, z: np.ndarra
         raise ValidationError(
             f"parameter count {params.n_items} does not match item count {data.n_items}"
         )
-    logp, log1mp = _log_item_probs(params, z)
-    observed = ~np.isnan(data.responses)
-    x1 = np.where(observed, np.nan_to_num(data.responses), 0.0)
-    x0 = np.where(observed, 1.0 - np.nan_to_num(data.responses), 0.0)
-    return x1 @ logp.T + x0 @ log1mp.T
+    return _node_loglik(*_indicators(data.responses), params.beta0, params.beta1, z)
 
 
 def weighted_marginal_loglik(
@@ -266,9 +274,7 @@ def _item_newton(
 
     cur = objective(b0, b1)
     for _ in range(max_inner):
-        eta = b0 + b1 * z
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
+        p = _sigmoid(b0 + b1 * z)
         resid = r_q - n_q * p
         g0 = float(resid.sum())
         g1 = float(resid @ z)
@@ -333,14 +339,11 @@ def em_fit(
         )
 
     rule = hermite_rule(quadrature_order)
-    z, nu = rule.standard_normal_points()
-    log_nu = np.log(nu)
+    z, _ = rule.standard_normal_points()
 
     n = data.n_units
-    observed = ~np.isnan(data.responses)
-    x1 = np.where(observed, np.nan_to_num(data.responses), 0.0)
-    x0 = np.where(observed, 1.0 - np.nan_to_num(data.responses), 0.0)
-    obs = observed.astype(float)
+    x1, x0 = _indicators(data.responses)
+    obs = x1 + x0
 
     w_raw = data.weights
     w = w_raw * (n / float(w_raw.sum()))
@@ -355,14 +358,8 @@ def em_fit(
     beta1 = np.ones(data.n_items)
 
     def normalized_loglik(b0: np.ndarray, b1: np.ndarray) -> tuple[float, np.ndarray]:
-        eta = b0[None, :] + b1[None, :] * z[:, None]
-        logp = _log_sigmoid(eta)
-        log1mp = _log_sigmoid(-eta)
-        ll = x1 @ logp.T + x0 @ log1mp.T
-        a = ll + log_nu[None, :]
-        m = a.max(axis=1)
-        logmarg = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-        return float(w @ logmarg), a - logmarg[:, None]
+        logmarg, log_post = log_node_posterior(_node_loglik(x1, x0, b0, b1, z), rule)
+        return float(w @ logmarg), log_post
 
     loglik, log_post = normalized_loglik(beta0, beta1)
     trace = [loglik * scale_back]

@@ -127,22 +127,30 @@ def gaussian_expectation(f: Callable[[np.ndarray], np.ndarray], rule: HermiteRul
     return float(p @ values)
 
 
-def log_gaussian_expectation(log_values: np.ndarray, rule: HermiteRule) -> np.ndarray:
-    """log E[exp(g(Z))] for Z ~ N(0,1) from g evaluated at the rule's points.
+def log_node_posterior(log_values: np.ndarray, rule: HermiteRule) -> tuple[np.ndarray, np.ndarray]:
+    """(log E[exp(g(Z))], log posterior over nodes) for Z ~ N(0,1).
 
     log_values holds g(z_q) along the last axis (one entry per node of
     the rule, ordered as standard_normal_points); leading axes are
-    batched. The log-sum-exp over nodes guards against underflow of the
-    per-node likelihood contributions.
+    batched. The log posterior of node q is g(z_q) + log p_q minus the
+    log marginal, so its exponential sums to one over the nodes. The
+    log-sum-exp over nodes guards against underflow of the per-node
+    likelihood contributions; where the marginal is -inf the posterior
+    is nan.
     """
     log_values = np.asarray(log_values, dtype=float)
     if log_values.shape[-1] != rule.order:
         raise ValueError(
             f"last axis must have length {rule.order}, got {log_values.shape[-1]}"
         )
-    log_p = np.log(rule.weights) - 0.5 * math.log(math.pi)
-    a = log_values + log_p
+    a = log_values + np.log(rule.standard_normal_points()[1])
     m = np.max(a, axis=-1)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
-    return out
+    log_marginal = m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
+    with np.errstate(invalid="ignore"):
+        return log_marginal, a - log_marginal[..., None]
+
+
+def log_gaussian_expectation(log_values: np.ndarray, rule: HermiteRule) -> np.ndarray:
+    """log E[exp(g(Z))] for Z ~ N(0,1); the first output of log_node_posterior."""
+    return log_node_posterior(log_values, rule)[0]

@@ -25,7 +25,8 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from .errors import NumericalError, ValidationError
-from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule
+from .optimize import golden_max
+from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation
 
 PSI2_FLOOR = 1e-10
 SIGMA_FLOOR = 1e-8
@@ -268,7 +269,7 @@ class _Workspace:
         per_group = self.sizes * const + logint
         return float(self.weights @ per_group)
 
-    def loglik_quadrature(self, gamma, psi2, sigma, tau, z_nodes, log_nu) -> float:
+    def loglik_quadrature(self, gamma, psi2, sigma, tau, rule: HermiteRule) -> float:
         resid = self.z - self.X @ gamma
         const = math.log(tau * (1.0 - tau)) - math.log(sigma)
         if psi2 <= PSI2_FLOOR:
@@ -276,15 +277,12 @@ class _Workspace:
             per_unit = const - loss / sigma
             per_group = np.add.reduceat(per_unit, self.starts)
             return float(self.weights @ per_group)
-        u = math.sqrt(psi2) * z_nodes
+        u = math.sqrt(psi2) * rule.standard_normal_points()[0]
         d = resid[:, None] - u[None, :]
         loss = d * (tau - (d < 0))
         per_unit = const - loss / sigma
         per_group = np.add.reduceat(per_unit, self.starts, axis=0)
-        a = per_group + log_nu[None, :]
-        m = a.max(axis=1)
-        logmarg = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-        return float(self.weights @ logmarg)
+        return float(self.weights @ log_gaussian_expectation(per_group, rule))
 
 
 def lqmm_loglik(
@@ -324,8 +322,7 @@ def lqmm_loglik(
     elif method == "quadrature":
         if rule is None:
             rule = hermite_rule(DEFAULT_ORDER)
-        z_nodes, nu = rule.standard_normal_points()
-        out = ws.loglik_quadrature(gamma, psi2, sigma, tau, z_nodes, np.log(nu))
+        out = ws.loglik_quadrature(gamma, psi2, sigma, tau, rule)
     else:
         raise ValidationError(f"unknown method {method!r}")
     if not math.isfinite(out):
@@ -367,24 +364,6 @@ def _start_values(ws: _Workspace, tau: float, row_weights: np.ndarray) -> tuple[
     return gamma, psi2, sigma
 
 
-def _golden_max_scalar(fun, lo: float, hi: float, iters: int = 100) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def _conditional_modes(ws: _Workspace, gamma, psi2, sigma, tau) -> np.ndarray:
     """Posterior mode of each group intercept under ALD likelihood x normal prior."""
     J = len(ws.labels)
@@ -405,7 +384,7 @@ def _conditional_modes(ws: _Workspace, gamma, psi2, sigma, tau) -> np.ndarray:
 
         lo = min(0.0, qj) - 2.0 * psi
         hi = max(0.0, qj) + 2.0 * psi
-        modes[j] = _golden_max_scalar(logpost, lo, hi)
+        modes[j] = golden_max(logpost, lo, hi, 100)
     return modes
 
 
@@ -413,7 +392,6 @@ def fit_lqmm(
     data: GroupedData,
     tau: float,
     *,
-    quadrature_order: int = DEFAULT_ORDER,
     restarts: int = 5,
     fix_psi2: float | None = None,
     xatol: float = 1e-6,
@@ -426,15 +404,13 @@ def fit_lqmm(
 
     Optimizes (gamma, log sigma, log psi2) by Nelder-Mead from the
     documented start plus jittered restarts (deterministic jitter),
-    evaluating the likelihood with the exact segment integration
-    (quadrature_order only affects the optional quadrature cross-check
-    route of lqmm_loglik). fix_psi2 pins the random-intercept variance
-    instead of estimating it (fix_psi2=0 gives the fixed-quantile
-    collapse). Conditional group modes are found afterwards by
-    golden-section search and recentred: when the constant vector lies in
-    the design's column space, the weighted mean of the modes is moved
-    into gamma, so conditional predictions are unchanged and the modes
-    average to zero.
+    evaluating the likelihood with the exact segment integration.
+    fix_psi2 pins the random-intercept variance instead of estimating it
+    (fix_psi2=0 gives the fixed-quantile collapse). Conditional group
+    modes are found afterwards by golden-section search and recentred:
+    when the constant vector lies in the design's column space, the
+    weighted mean of the modes is moved into gamma, so conditional
+    predictions are unchanged and the modes average to zero.
 
     Group weights are normalized to sum to the number of groups before
     optimizing; the reported loglik is on that normalized scale.
@@ -657,7 +633,6 @@ def _bootstrap_one(
     tau: float,
     seed: int,
     b: int,
-    quadrature_order: int,
     start: tuple[np.ndarray, float, float],
     max_fev: int,
     compute_modes: bool,
@@ -668,7 +643,6 @@ def _bootstrap_one(
     fit = fit_lqmm(
         resampled,
         tau,
-        quadrature_order=quadrature_order,
         restarts=1,
         start=start,
         max_fev=max_fev,
@@ -689,7 +663,6 @@ def bootstrap_fits(
     B: int = 200,
     seed: int = 0,
     *,
-    quadrature_order: int = DEFAULT_ORDER,
     base_fit: QuantileMixedFit | None = None,
     max_fev: int | None = None,
     n_jobs: int = 1,
@@ -708,14 +681,13 @@ def bootstrap_fits(
     if B < 50:
         raise ValidationError("bootstrap needs B >= 50 replicates")
     if base_fit is None:
-        base_fit = fit_lqmm(data, tau, quadrature_order=quadrature_order)
+        base_fit = fit_lqmm(data, tau)
     start = (base_fit.gamma, max(base_fit.psi2, PSI2_FLOOR * 10), base_fit.sigma)
     if max_fev is None:
         max_fev = 200 * (data.X.shape[1] + 2)
 
     args = [
-        (data, tau, seed, b, quadrature_order, start, max_fev, group_effects)
-        for b in range(B)
+        (data, tau, seed, b, start, max_fev, group_effects) for b in range(B)
     ]
     if n_jobs > 1:
         from multiprocessing import Pool

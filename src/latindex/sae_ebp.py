@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from .errors import NumericalError, ValidationError
+from .optimize import golden_max
 
 DEFAULT_REPLICATES = 500
 
@@ -229,35 +230,39 @@ def _check_full_rank(X: np.ndarray, column_names: tuple[str, ...] | None) -> Non
         raise ValidationError(f"design matrix is rank deficient; collinear column(s): {names}")
 
 
+def _domain_rows(domain: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Ascending row indices of each domain, keyed in sorted domain order.
+
+    One stable sort groups all rows, so the cost is O(n log n) however
+    many domains there are.
+    """
+    if not domain:
+        return {}
+    dom = np.asarray(domain, dtype=object)
+    order = np.argsort(dom, kind="stable")
+    cuts = np.flatnonzero(dom[order][1:] != dom[order][:-1]) + 1
+    return {str(dom[rows[0]]): rows for rows in np.split(order, cuts)}
+
+
 class _ProfileWorkspace:
     """Per-domain cross-products reused across profile evaluations."""
 
     def __init__(self, sample: SampleData):
         self.n, self.P = sample.X.shape
-        order = np.argsort(np.asarray(sample.domain, dtype=object), kind="stable")
-        self.domains = []
-        self.sizes = []
+        self.rows = _domain_rows(sample.domain)
+        self.sizes = np.array([rows.size for rows in self.rows.values()])
         self.XtX = []
         self.Xty = []
         self.s = []  # column sums of X per domain
         self.ty = []  # sum of y per domain
-        self.yty = 0.0
-        dom = np.asarray(sample.domain, dtype=object)[order]
-        X = sample.X[order]
-        y = sample.y[order]
-        start = 0
-        for i in range(1, len(dom) + 1):
-            if i == len(dom) or dom[i] != dom[start]:
-                Xp, yp = X[start:i], y[start:i]
-                self.domains.append(str(dom[start]))
-                self.sizes.append(i - start)
-                self.XtX.append(Xp.T @ Xp)
-                self.Xty.append(Xp.T @ yp)
-                self.s.append(Xp.sum(axis=0))
-                self.ty.append(float(yp.sum()))
-                start = i
+        for rows in self.rows.values():
+            Xp, yp = sample.X[rows], sample.y[rows]
+            self.XtX.append(Xp.T @ Xp)
+            self.Xty.append(Xp.T @ yp)
+            self.s.append(Xp.sum(axis=0))
+            self.ty.append(float(yp.sum()))
+        y = sample.y[np.concatenate(list(self.rows.values()))]
         self.yty = float(y @ y)
-        self.sizes = np.asarray(self.sizes)
 
     def gls(self, rho: float) -> tuple[np.ndarray, float, float]:
         """(beta, weighted RSS, sum log det factor) at variance ratio rho."""
@@ -295,25 +300,6 @@ class _ProfileWorkspace:
         return -0.5 * (dof * (math.log(2 * math.pi) + math.log(s2e) + 1.0) + logdet + logdet_A)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def fit_nested_error(sample: SampleData, *, reml: bool = False) -> NestedErrorFit:
     """Maximum-likelihood fit of the nested-error model by profiling.
 
@@ -342,7 +328,7 @@ def fit_nested_error(sample: SampleData, *, reml: bool = False) -> NestedErrorFi
     else:
         lo = grid[max(best - 1, 1)]
         hi = grid[min(best + 1, len(grid) - 1)]
-        t_hat = _golden_max(lambda t: objective(math.exp(t)), lo, hi)
+        t_hat = golden_max(lambda t: objective(math.exp(t)), lo, hi, 80)
         rho_hat = math.exp(t_hat)
         if objective(rho_hat) < vals[0]:
             rho_hat = 0.0
@@ -357,11 +343,10 @@ def fit_nested_error(sample: SampleData, *, reml: bool = False) -> NestedErrorFi
     gamma: dict[str, float] = {}
     u_hat: dict[str, float] = {}
     resid = sample.y - sample.X @ beta
-    dom = np.asarray(sample.domain, dtype=object)
-    for d, N in zip(ws.domains, ws.sizes):
-        g = shrinkage_gamma(s2u, s2e, int(N)) if s2e > 0 else 0.0
+    for d, rows in ws.rows.items():
+        g = shrinkage_gamma(s2u, s2e, rows.size) if s2e > 0 else 0.0
         gamma[d] = g
-        u_hat[d] = g * float(resid[dom == d].mean())
+        u_hat[d] = g * float(resid[rows].mean())
 
     loglik = marginal_loglik(sample, beta, s2u, s2e)
     return NestedErrorFit(
@@ -386,10 +371,10 @@ def marginal_loglik(sample: SampleData, beta: np.ndarray, sigma2_u: float, sigma
         raise ValidationError("sigma2_e must be positive")
     rho = sigma2_u / sigma2_e
     resid = sample.y - sample.X @ beta
-    dom = np.asarray(sample.domain, dtype=object)
+    rows = _domain_rows(sample.domain)
     total = 0.0
     for d in dict.fromkeys(sample.domain):
-        r = resid[dom == d]
+        r = resid[rows[d]]
         N = r.size
         a = rho / (1.0 + rho * N)
         quad = (float(r @ r) - a * float(r.sum()) ** 2) / sigma2_e
@@ -401,15 +386,6 @@ def marginal_loglik(sample: SampleData, beta: np.ndarray, sigma2_u: float, sigma
 # ---------------------------------------------------------------------------
 # Synthetic censuses and the Monte Carlo best prediction
 # ---------------------------------------------------------------------------
-
-
-def _domain_order(fit: NestedErrorFit, frame: PopulationFrame, sample: SampleData) -> list[str]:
-    return sorted(set(frame.domain_sizes_pop) | set(sample.domain))
-
-
-def _frame_rows_by_domain(frame: PopulationFrame) -> dict[str, np.ndarray]:
-    dom = np.asarray(frame.domain, dtype=object)
-    return {d: np.flatnonzero(dom == d) for d in dict.fromkeys(frame.domain)}
 
 
 def _validate_pair(sample: SampleData, frame: PopulationFrame) -> None:
@@ -430,6 +406,40 @@ def _validate_pair(sample: SampleData, frame: PopulationFrame) -> None:
             )
 
 
+def _census_layout(
+    fit: NestedErrorFit, frame: PopulationFrame, sample: SampleData
+) -> tuple[list[tuple[str, np.ndarray, np.ndarray, float]], float]:
+    """([(domain, observed, mean_part, sd_u)] in sorted domain order, sd_e).
+
+    observed holds the domain's sampled responses and mean_part
+    x' beta + u_tilde for its out-of-sample units (empty when the frame
+    has none); sd_u is the sd of the domain's shared draw u_star and sd_e
+    that of the idiosyncratic error. Domains in the frame but absent from
+    the fit are treated as unsampled (gamma = 0, u_tilde = 0).
+    """
+    _validate_pair(sample, frame)
+    if frame.X_r.shape[0] and frame.X_r.shape[1] != fit.beta.shape[0]:
+        raise ValidationError("frame design width does not match the fitted coefficients")
+    base = frame.X_r @ fit.beta if frame.X_r.shape[0] else np.zeros(0)
+    sample_rows = _domain_rows(sample.domain)
+    frame_rows = _domain_rows(frame.domain)
+    none = np.zeros(0, dtype=int)
+    layout = []
+    for d in sorted(set(frame.domain_sizes_pop) | set(sample.domain)):
+        sd_u = math.sqrt(max(fit.sigma2_u * (1.0 - fit.gamma.get(d, 0.0)), 0.0))
+        mean_part = base[frame_rows.get(d, none)] + fit.u_hat.get(d, 0.0)
+        layout.append((d, sample.y[sample_rows.get(d, none)], mean_part, sd_u))
+    return layout, (math.sqrt(fit.sigma2_e) if fit.sigma2_e > 0 else 0.0)
+
+
+def _draw_synthetic(mean_part: np.ndarray, sd_u: float, sd_e: float, seed: tuple[int, ...]) -> np.ndarray:
+    """One draw of a domain's out-of-sample units from the substream seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    u_star = rng.normal(0.0, sd_u)
+    eps = rng.normal(0.0, sd_e, size=mean_part.size) if sd_e > 0 else 0.0
+    return mean_part + u_star + eps
+
+
 def simulate_census(
     fit: NestedErrorFit,
     frame: PopulationFrame,
@@ -444,32 +454,17 @@ def simulate_census(
     idiosyncratic eps ~ N(0, s2_e). Domains in the frame but absent from
     the fit are treated as unsampled (gamma = 0, u_tilde = 0). Each
     domain draws from its own substream derived from (seed, domain), so
-    results do not depend on iteration order.
+    results do not depend on iteration order; seed=(s, b) is replicate b
+    of ebp_indicator(..., seed=s).
     """
-    _validate_pair(sample, frame)
-    if frame.X_r.shape[0] and frame.X_r.shape[1] != fit.beta.shape[0]:
-        raise ValidationError("frame design width does not match the fitted coefficients")
     seed_tuple = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-
-    order = _domain_order(fit, frame, sample)
-    rows_by_domain = _frame_rows_by_domain(frame)
-    base = frame.X_r @ fit.beta if frame.X_r.shape[0] else np.zeros(0)
-    sdom = np.asarray(sample.domain, dtype=object)
-
+    layout, sd_e = _census_layout(fit, frame, sample)
     out: dict[str, np.ndarray] = {}
-    for idx, d in enumerate(order):
-        observed = sample.y[sdom == d]
-        rows = rows_by_domain.get(d)
-        if rows is None or rows.size == 0:
-            out[d] = observed.copy()
-            continue
-        g = fit.gamma.get(d, 0.0)
-        u_tilde = fit.u_hat.get(d, 0.0)
-        rng = np.random.default_rng(np.random.SeedSequence((*seed_tuple, idx)))
-        u_star = rng.normal(0.0, math.sqrt(max(fit.sigma2_u * (1.0 - g), 0.0)))
-        eps = rng.normal(0.0, math.sqrt(fit.sigma2_e), size=rows.size) if fit.sigma2_e > 0 else np.zeros(rows.size)
-        synthetic = base[rows] + u_tilde + u_star + eps
-        out[d] = np.concatenate([observed, synthetic])
+    for idx, (d, observed, mean_part, sd_u) in enumerate(layout):
+        parts = [observed]
+        if mean_part.size:
+            parts.append(_draw_synthetic(mean_part, sd_u, sd_e, (*seed_tuple, idx)))
+        out[d] = np.concatenate(parts)
     return out
 
 
@@ -502,56 +497,37 @@ def ebp_indicator(
     """
     if B < 1:
         raise ValidationError("B must be at least 1")
-    _validate_pair(sample, frame)
-    if frame.X_r.shape[0] and frame.X_r.shape[1] != fit.beta.shape[0]:
-        raise ValidationError("frame design width does not match the fitted coefficients")
-
+    layout, sd_e = _census_layout(fit, frame, sample)
     stat, stat_name = _statistic_fn(statistic)
-    order = _domain_order(fit, frame, sample)
-    rows_by_domain = _frame_rows_by_domain(frame)
-    base = frame.X_r @ fit.beta if frame.X_r.shape[0] else np.zeros(0)
-    sdom = np.asarray(sample.domain, dtype=object)
-    sd_e = math.sqrt(fit.sigma2_e) if fit.sigma2_e > 0 else 0.0
 
-    estimates = np.empty((len(order), B))
+    estimates = np.empty((len(layout), B))
     direct: dict[int, float] = {}
-    for idx, d in enumerate(order):
-        observed = sample.y[sdom == d]
-        rows = rows_by_domain.get(d)
-        if rows is None or rows.size == 0:
+    for idx, (_, observed, mean_part, sd_u) in enumerate(layout):
+        if mean_part.size == 0:
             # No synthetic units: the direct statistic, exactly, for any B.
             direct[idx] = float(stat(observed))
             estimates[idx, :] = direct[idx]
             continue
-        g = fit.gamma.get(d, 0.0)
-        u_tilde = fit.u_hat.get(d, 0.0)
-        sd_u = math.sqrt(max(fit.sigma2_u * (1.0 - g), 0.0))
-        mean_part = base[rows] + u_tilde
-        values = np.empty(observed.size + rows.size)
-        values[: observed.size] = observed
+        values = np.concatenate([observed, mean_part])
         if sd_u == 0.0 and sd_e == 0.0:
             # Degenerate variances: every replicate is the same census.
-            values[observed.size :] = mean_part
             direct[idx] = float(stat(values))
             estimates[idx, :] = direct[idx]
             continue
         for b in range(B):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, b, idx)))
-            u_star = rng.normal(0.0, sd_u)
-            eps = rng.normal(0.0, sd_e, size=rows.size) if sd_e > 0 else 0.0
-            values[observed.size :] = mean_part + u_star + eps
+            values[observed.size :] = _draw_synthetic(mean_part, sd_u, sd_e, (seed, b, idx))
             estimates[idx, b] = stat(values)
 
     est = estimates.mean(axis=1)
     if B > 1:
         mc_sd = estimates.std(axis=1, ddof=1) / math.sqrt(B)
     else:
-        mc_sd = np.zeros(len(order))
+        mc_sd = np.zeros(len(layout))
     for idx, val in direct.items():
         est[idx] = val
         mc_sd[idx] = 0.0
     return EBPResult(
-        domains=tuple(order),
+        domains=tuple(d for d, *_ in layout),
         estimate=est,
         estimate_clamped=np.clip(est, 0.0, 1.0),
         mc_sd=mc_sd,

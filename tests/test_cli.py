@@ -45,6 +45,29 @@ class TestShowConfig:
         path.write_text('{"no_such_key": 1}')
         assert cli.main(["show-config", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"lqmm": {"taus": [0.5',  # truncated file
+            '{"lqmm": {"taus": [0.5, "high"]}}',
+            '{"lqmm": {"bootstrap_B": 10}}',
+            '{"ebp": {"B": 0}}',
+            '{"quadrature_order": "61"}',
+        ],
+        ids=[
+            "truncated-json",
+            "non-numeric-tau",
+            "bootstrap-B-below-50",
+            "ebp-B-zero",
+            "string-quadrature-order",
+        ],
+    )
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["show-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
+
 
 class TestSimulateAndFeatures:
     def test_simulate_writes_three_files(self, pipeline_config):

@@ -181,7 +181,7 @@ class TestFitLqmm:
             group_weights={"only": 1.0},
             validate_support=False,
         )
-        fit = fit_lqmm(data, tau, fix_psi2=0.0, quadrature_order=21)
+        fit = fit_lqmm(data, tau, fix_psi2=0.0)
         oracle = self.brute_force_intercept(values, tau)
         assert fit.gamma[0] == pytest.approx(oracle, abs=1e-3)
         assert fit.psi2 == 0.0
@@ -312,6 +312,17 @@ class TestBootstrap:
         np.testing.assert_array_equal(a.ci_low, b.ci_low)
         np.testing.assert_array_equal(a.ci_high, b.ci_high)
         np.testing.assert_array_equal(a.estimates, b.estimates)
+
+    def test_parallel_matches_serial(self):
+        rng = np.random.default_rng(49)
+        data = make_grouped(rng, J=12, n_j=15)
+        fit = fit_lqmm(data, 0.5, restarts=2)
+        serial = bootstrap_fits(data, 0.5, B=50, seed=5, base_fit=fit, n_jobs=1)
+        parallel = bootstrap_fits(data, 0.5, B=50, seed=5, base_fit=fit, n_jobs=2)
+        np.testing.assert_array_equal(serial.estimates, parallel.estimates)
+        np.testing.assert_array_equal(serial.psi2, parallel.psi2)
+        assert serial.u_by_group == parallel.u_by_group
+        assert serial.n_dropped == parallel.n_dropped
 
     def test_ci_width_shrinks_with_more_groups(self):
         rng = np.random.default_rng(53)

@@ -355,6 +355,17 @@ class TestEbpIndicator:
         np.testing.assert_array_equal(a.estimate, b.estimate)
         np.testing.assert_array_equal(a.mc_sd, b.mc_sd)
 
+    def test_replicate_is_simulated_census(self):
+        # simulate_census(seed=(s, b)) is replicate b of ebp_indicator(seed=s).
+        rng = np.random.default_rng(65)
+        sample, frame = tiny_world(rng)
+        fit = fit_nested_error(sample)
+        res = ebp_indicator(fit, frame, sample, B=1, seed=12)
+        census = simulate_census(fit, frame, sample, seed=(12, 0))
+        assert res.domains == tuple(sorted(census))
+        for i, d in enumerate(res.domains):
+            assert res.estimate[i] == float(np.median(census[d]))
+
     def test_single_replicate_is_deterministic(self):
         rng = np.random.default_rng(63)
         sample, frame = tiny_world(rng)
