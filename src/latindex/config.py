@@ -9,10 +9,16 @@ are no wall-clock or entropy defaults anywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ValidationError
 from .serialize import to_json_text
+
+
+def _is_number(value) -> bool:
+    """A finite int or float (bool excluded)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,14 @@ class PipelineConfig:
     simulate: SimulateSettings = field(default_factory=SimulateSettings)
 
     def validate(self) -> "PipelineConfig":
+        if not self.lqmm.taus:
+            raise ValidationError("lqmm.taus must list at least one quantile level")
         if not all(0.0 < t < 1.0 for t in self.lqmm.taus):
             raise ValidationError("every tau must lie strictly inside (0, 1)")
+        if not (_is_number(self.em.tol) and self.em.tol > 0):
+            raise ValidationError("em.tol must be a finite number > 0")
+        if not (_is_number(self.em.ridge) and self.em.ridge >= 0):
+            raise ValidationError("em.ridge must be a finite number >= 0")
         for name, seed in (
             ("ebp.seed", self.ebp.seed),
             ("lqmm.seed", self.lqmm.seed),
@@ -84,13 +96,15 @@ class PipelineConfig:
             raise ValidationError("ebp.statistic must be 'median', 'mean' or a quantile level")
         if not isinstance(self.quadrature_order, int) or not 1 <= self.quadrature_order <= 200:
             raise ValidationError("quadrature_order must be an integer in [1, 200]")
-        # The replicate floors of bootstrap_fits and ebp_indicator, checked
-        # here so a stage fails before any model fit runs.
+        # Counts and their floors (those of bootstrap_fits and ebp_indicator
+        # among them), checked here so a stage fails before any model fit runs.
         for name, count, low in (
             ("lqmm.bootstrap_B", self.lqmm.bootstrap_B, 50),
             ("ebp.B", self.ebp.B, 1),
+            ("em.max_iter", self.em.max_iter, 1),
+            ("lqmm.restarts", self.lqmm.restarts, 1),
         ):
-            if not isinstance(count, int) or count < low:
+            if not isinstance(count, int) or isinstance(count, bool) or count < low:
                 raise ValidationError(f"{name} must be an integer >= {low}")
         return self
 

@@ -17,6 +17,7 @@ come from a nonparametric cluster bootstrap that resamples whole groups.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -186,39 +187,79 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, tau: float) -> f
 
 
 class _Workspace:
-    """Rows sorted by group plus the static segment layout for exact integration."""
+    """Rows grouped by label plus the static segment layout for exact integration.
+
+    z, X and g_sorted hold each group's rows in input order, groups in
+    label order; the start values, the conditional modes and the psi2 = 0
+    likelihood sum over rows in that order. When every group's rows share
+    one design row x_j, a group's residuals z - x_j' gamma keep the order
+    of its responses for any gamma, so zs holds the responses sorted
+    within each group and loglik_exact needs no sort.
+    """
 
     def __init__(self, data: GroupedData):
-        self.labels = list(data.labels)
-        codes = {g: i for i, g in enumerate(self.labels)}
+        labels = list(data.labels)
+        codes = {g: i for i, g in enumerate(labels)}
         g = np.array([codes[x] for x in data.group])
         order = np.argsort(g, kind="stable")
-        self.z = data.z[order]
-        self.X = data.X[order]
-        self.g_sorted = g[order]
-        self.starts = np.searchsorted(self.g_sorted, np.arange(len(self.labels)))
-        self.weights = np.array([data.group_weights[g] for g in self.labels])
-        self.n, self.P = data.X.shape
+        z, X, g_sorted = data.z[order], data.X[order], g[order]
+        zs = None
+        first = np.searchsorted(g_sorted, np.arange(len(labels)))[g_sorted]
+        if np.array_equal(X, X[first]):
+            zs = z[np.lexsort((z, g_sorted))]
+        weights = np.array([data.group_weights[x] for x in labels])
+        self._setup(labels, z, X, g_sorted, weights, data.column_names, zs)
+
+    @classmethod
+    def _from_rows(cls, labels, z, X, g_sorted, weights, column_names, zs) -> "_Workspace":
+        ws = cls.__new__(cls)
+        ws._setup(labels, z, X, g_sorted, weights, column_names, zs)
+        return ws
+
+    def _setup(self, labels, z, X, g_sorted, weights, column_names, zs) -> None:
+        self.labels = labels
+        self.z, self.X, self.g_sorted = z, X, g_sorted
+        self.weights = weights
+        self.column_names = column_names
+        self.n, self.P = X.shape
+        J = len(labels)
+        self.starts = np.searchsorted(g_sorted, np.arange(J))
+        # Presorted path: one design row per group (Xg) and responses
+        # sorted within each group (zs); None when a group mixes rows.
+        self.zs = zs
+        self.Xg = None if zs is None else X[self.starts]
 
         # Segment layout: group j contributes n_j + 1 pieces of the
         # piecewise-exponential integrand. All arrays below are static.
         sizes = np.diff(np.append(self.starts, self.n))
         self.sizes = sizes
+        self.seg_group = np.repeat(np.arange(J), sizes + 1)
         self.seg_starts = np.concatenate([[0], np.cumsum(sizes + 1)])[:-1]
-        self.seg_m = np.repeat(sizes, sizes + 1)  # n_j per segment
-        self.seg_j = np.concatenate([np.arange(m + 1) for m in sizes])  # piece index
-        # Gather indices into the group-major sorted residual vector; the
-        # sentinels n and n+1 address padding slots holding -inf / +inf.
-        # lo_idx doubles as the prefix-sum index (sum of the j smallest
-        # residuals of the group ends at the same row).
-        row_offset = np.repeat(self.starts, sizes + 1)
+        self.seg_m = sizes[self.seg_group]  # n_j per segment
+        self.seg_j = np.arange(self.seg_group.size) - self.seg_starts[self.seg_group]  # piece index
+        # Gather indices into the group-major sorted residuals held in
+        # _buf; the sentinel slots n and n+1 hold -inf / +inf. The sum of
+        # the j smallest residuals of a group is _cs0[p_idx] - _cs0[b_idx]
+        # with _cs0 = [0, cumsum]; it is exactly 0.0 on first pieces.
+        row_offset = self.starts[self.seg_group]
         self.lo_idx = np.where(self.seg_j == 0, self.n, row_offset + self.seg_j - 1)
         self.hi_idx = np.where(self.seg_j == self.seg_m, self.n + 1, row_offset + self.seg_j)
+        self.b_idx = row_offset
+        self.p_idx = row_offset + self.seg_j
+        self._buf = np.empty(self.n + 2)
+        self._buf[self.n :] = (-np.inf, np.inf)
+        self._cs0 = np.zeros(self.n + 1)
+        self._neg_d: dict[float, np.ndarray] = {}  # -(seg_j - tau * seg_m) per tau
 
     def _sorted_residuals(self, gamma) -> np.ndarray:
-        resid = self.z - self.X @ gamma
-        order = np.lexsort((resid, self.g_sorted))
-        return resid[order]
+        """Residuals sorted within each group, written into _buf[:n]."""
+        s = self._buf[: self.n]
+        if self.zs is not None:
+            np.subtract(self.zs, (self.Xg @ gamma)[self.g_sorted], out=s)
+        else:
+            resid = self.z - self.X @ gamma
+            resid.take(np.lexsort((resid, self.g_sorted)), out=s)
+        return s
 
     def loglik_exact(self, gamma, psi2, sigma, tau) -> float:
         """Weighted log-likelihood with the intercept integrated out exactly.
@@ -236,27 +277,28 @@ class _Workspace:
             per_group = np.add.reduceat(per_unit, self.starts)
             return float(self.weights @ per_group)
 
+        neg_d = self._neg_d.get(tau)
+        if neg_d is None:
+            neg_d = self._neg_d[tau] = -(self.seg_j - tau * self.seg_m)
         psi = math.sqrt(psi2)
         s = self._sorted_residuals(gamma)
-        cums = np.concatenate([np.cumsum(s), [0.0, 0.0]])
-        padded = np.concatenate([s, [-np.inf, np.inf]])
+        cs0 = self._cs0
+        np.add.accumulate(s, out=cs0[1:])
         group_tot = np.add.reduceat(s, self.starts)
-        group_base = np.concatenate([[0.0], np.cumsum(s)])[self.starts]
 
-        prefix = np.where(self.seg_j == 0, 0.0, cums[self.lo_idx] - np.repeat(group_base, self.sizes + 1))
-        total = np.repeat(group_tot, self.sizes + 1)
-        d = self.seg_j - tau * self.seg_m
-        c = tau * (total - prefix) - (1.0 - tau) * prefix
-        a = -d / sigma
-        b = -c / sigma
+        prefix = cs0[self.p_idx] - cs0[self.b_idx]
+        c = tau * (group_tot[self.seg_group] - prefix) - (1.0 - tau) * prefix
+        a = neg_d / sigma
+        b = c / -sigma  # == -c / sigma: rounding is symmetric in sign
 
-        lo = padded[self.lo_idx]
-        hi = padded[self.hi_idx]
-        alpha = (lo - a * psi2) / psi
-        beta = (hi - a * psi2) / psi
+        a_psi2 = a * psi2
+        alpha = (self._buf[self.lo_idx] - a_psi2) / psi
+        beta = (self._buf[self.hi_idx] - a_psi2) / psi
+        # Pieces above 0 use Phi(beta) - Phi(alpha) = Phi(-alpha) - Phi(-beta),
+        # whose log log_ndtr evaluates without cancellation.
         flip = alpha > 0.0
-        la = np.where(flip, log_ndtr(-beta), log_ndtr(alpha))
-        lb = np.where(flip, log_ndtr(-alpha), log_ndtr(beta))
+        la = log_ndtr(np.where(flip, -beta, alpha))
+        lb = log_ndtr(np.where(flip, -alpha, beta))
         with np.errstate(invalid="ignore", divide="ignore"):
             ldiff = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
         terms = b + 0.5 * a * a * psi2 + ldiff
@@ -264,7 +306,7 @@ class _Workspace:
 
         mx = np.maximum.reduceat(terms, self.seg_starts)
         mx = np.where(np.isfinite(mx), mx, 0.0)
-        blown = np.exp(terms - np.repeat(mx, self.sizes + 1))
+        blown = np.exp(terms - mx[self.seg_group])
         logint = mx + np.log(np.add.reduceat(blown, self.seg_starts))
         per_group = self.sizes * const + logint
         return float(self.weights @ per_group)
@@ -389,7 +431,7 @@ def _conditional_modes(ws: _Workspace, gamma, psi2, sigma, tau) -> np.ndarray:
 
 
 def fit_lqmm(
-    data: GroupedData,
+    data: GroupedData | _Workspace,
     tau: float,
     *,
     restarts: int = 5,
@@ -414,13 +456,27 @@ def fit_lqmm(
 
     Group weights are normalized to sum to the number of groups before
     optimizing; the reported loglik is on that normalized scale.
+
+    Constant responses, and a single group when psi2 is estimated, leave
+    the model unidentified and raise ValidationError. A bootstrap refit
+    passes the workspace from _resample_groups instead of GroupedData and
+    skips that check.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError("tau must lie strictly inside (0, 1)")
     if restarts < 1:
         raise ValidationError("need at least one optimizer start")
 
-    ws = _Workspace(data)
+    if isinstance(data, _Workspace):
+        # A shallow copy: the weight normalization below must not reach
+        # the caller's workspace.
+        ws = copy.copy(data)
+    else:
+        ws = _Workspace(data)
+        if fix_psi2 is None and len(ws.labels) < 2:
+            raise ValidationError("estimating psi2 needs at least two groups (or pass fix_psi2)")
+        if ws.n == 0 or ws.z.min() == ws.z.max():
+            raise ValidationError("responses are constant: the model is not identified")
     J = len(ws.labels)
     ws.weights = ws.weights * (J / ws.weights.sum())
     row_weights = ws.weights[ws.g_sorted]
@@ -503,7 +559,7 @@ def fit_lqmm(
         u={g: float(m) for g, m in zip(ws.labels, modes)},
         loglik=float(loglik),
         converged=converged,
-        column_names=data.column_names,
+        column_names=ws.column_names,
     )
 
 
@@ -603,33 +659,35 @@ def predict_conditional(
 # ---------------------------------------------------------------------------
 
 
-def _resample_groups(data: GroupedData, rng: np.random.Generator) -> GroupedData:
-    labels = list(data.labels)
-    J = len(labels)
+def _resample_groups(ws: _Workspace, rng: np.random.Generator) -> _Workspace:
+    """Workspace of J groups drawn with replacement, gathered from ws's row blocks.
+
+    Copy k of group g is labelled f"{g}~{k}" and the copies are ordered
+    as those labels sort, exactly as _Workspace orders them when built
+    from the resampled GroupedData: that order fixes the summation order
+    of the likelihood.
+    """
+    J = len(ws.labels)
     picks = rng.integers(0, J, size=J)
-    dom = np.asarray(data.group, dtype=object)
-    z_parts, X_parts, g_parts = [], [], []
-    weights = {}
-    for copy_idx, j in enumerate(picks):
-        g = labels[int(j)]
-        mask = dom == g
-        label = f"{g}~{copy_idx}"
-        z_parts.append(data.z[mask])
-        X_parts.append(data.X[mask])
-        g_parts.extend([label] * int(mask.sum()))
-        weights[label] = data.group_weights[g]
-    return GroupedData(
-        z=np.concatenate(z_parts),
-        X=np.vstack(X_parts),
-        group=g_parts,
-        group_weights=weights,
-        column_names=data.column_names,
-        validate_support=data.validate_support,
+    names = [f"{ws.labels[j]}~{k}" for k, j in enumerate(picks.tolist())]
+    order = sorted(range(J), key=names.__getitem__)
+    picked = picks[order]
+    sizes = ws.sizes[picked]
+    new_starts = np.cumsum(sizes) - sizes
+    rows = np.arange(sizes.sum()) + np.repeat(ws.starts[picked] - new_starts, sizes)
+    return _Workspace._from_rows(
+        [names[k] for k in order],
+        ws.z[rows],
+        ws.X[rows],
+        np.repeat(np.arange(J), sizes),
+        ws.weights[picked],
+        ws.column_names,
+        None if ws.zs is None else ws.zs[rows],
     )
 
 
 def _bootstrap_one(
-    data: GroupedData,
+    ws: _Workspace,
     tau: float,
     seed: int,
     b: int,
@@ -638,7 +696,7 @@ def _bootstrap_one(
     compute_modes: bool,
 ) -> tuple[np.ndarray, float, float, dict[str, float], bool]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-    resampled = _resample_groups(data, rng)
+    resampled = _resample_groups(ws, rng)
     # Percentile intervals tolerate coarser optima than the base fit.
     fit = fit_lqmm(
         resampled,
@@ -686,8 +744,9 @@ def bootstrap_fits(
     if max_fev is None:
         max_fev = 200 * (data.X.shape[1] + 2)
 
+    ws = _Workspace(data)
     args = [
-        (data, tau, seed, b, start, max_fev, group_effects) for b in range(B)
+        (ws, tau, seed, b, start, max_fev, group_effects) for b in range(B)
     ]
     if n_jobs > 1:
         from multiprocessing import Pool

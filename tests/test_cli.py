@@ -53,6 +53,10 @@ class TestShowConfig:
             '{"lqmm": {"bootstrap_B": 10}}',
             '{"ebp": {"B": 0}}',
             '{"quadrature_order": "61"}',
+            '{"em": {"tol": "x"}}',
+            '{"lqmm": {"taus": []}}',
+            '{"lqmm": {"restarts": 0}}',
+            '{"em": {"max_iter": 0}}',
         ],
         ids=[
             "truncated-json",
@@ -60,6 +64,10 @@ class TestShowConfig:
             "bootstrap-B-below-50",
             "ebp-B-zero",
             "string-quadrature-order",
+            "string-em-tol",
+            "empty-taus",
+            "restarts-zero",
+            "em-max-iter-zero",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, text):
@@ -180,6 +188,19 @@ class TestFitStages:
         assert est["private"] < est["public"]
         for r in rows:
             assert float(r["ci_low"]) <= float(r["estimate"]) <= float(r["ci_high"])
+
+    def test_fit_lqmm_constant_scores_exit_2(self, after_ltm, capsys):
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "scores.json")
+        doc = json.loads(open(path).read())
+        for unit in doc["units"]:
+            unit["scaled"] = 0.5
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        assert run("fit-lqmm", after_ltm) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "constant" in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "lqmm_fit_tau_0.5.csv"))
 
     def test_fit_lqmm_conditional_minus_marginal_is_region_effect(self, after_ltm):
         assert run("fit-lqmm", after_ltm) == 0

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latindex.errors import ValidationError
 from latindex.quadrature import hermite_rule
 from latindex.quantile_mixed import (
     GroupedData,
+    _resample_groups,
+    _Workspace,
     ald_logdensity,
     bootstrap_fits,
     check_loss,
@@ -165,6 +169,65 @@ class TestLqmmLoglik:
         assert quad == pytest.approx(exact, abs=5e-3)
 
 
+@st.composite
+def shuffled_rows(draw, two_cell: bool):
+    """Grouped rows, a permutation of them and likelihood parameters.
+
+    Responses come partly from a small set so that ties occur. The
+    single-cell design gives every group one design row (an intercept and
+    a group-level covariate); the two-cell design mixes cell indicators
+    within groups.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(sizes)
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    z = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit), min_size=n, max_size=n))
+    labels = [f"g{j}" for j in range(len(sizes))]
+    group = [g for g, m in zip(labels, sizes) for _ in range(m)]
+    if two_cell:
+        cells = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        X = [[0.0, 1.0] if c else [1.0, 0.0] for c in cells]
+    else:
+        covariate = draw(st.lists(unit, min_size=len(sizes), max_size=len(sizes)))
+        X = [[1.0, covariate[labels.index(g)]] for g in group]
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(sizes), max_size=len(sizes)))
+    perm = draw(st.permutations(range(n)))
+    params = (
+        [draw(st.floats(-0.5, 1.0)), draw(st.floats(-0.5, 1.0))],
+        draw(st.floats(1e-4, 1.0)),  # psi2 above the point-mass floor
+        draw(st.floats(0.01, 1.0)),
+        draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9])),
+    )
+    data = GroupedData(
+        z=np.array(z), X=np.array(X), group=group, group_weights=dict(zip(labels, weights))
+    )
+    return data, list(perm), params
+
+
+def _permuted(data: GroupedData, perm) -> GroupedData:
+    return GroupedData(
+        z=data.z[perm], X=data.X[perm], group=[data.group[i] for i in perm],
+        group_weights=data.group_weights,
+    )
+
+
+class TestRowOrderInvariance:
+    """The exact likelihood sorts residuals within groups, so row order is moot."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(shuffled_rows(two_cell=False))
+    def test_one_design_row_per_group(self, case):
+        data, perm, params = case
+        assert _Workspace(data).zs is not None  # the presorted path
+        assert lqmm_loglik(_permuted(data, perm), *params) == lqmm_loglik(data, *params)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(shuffled_rows(two_cell=True))
+    def test_two_cell_design(self, case):
+        data, perm, params = case
+        assert lqmm_loglik(_permuted(data, perm), *params) == lqmm_loglik(data, *params)
+
+
 class TestFitLqmm:
     def brute_force_intercept(self, values, tau):
         grid = np.linspace(min(values) - 0.5, max(values) + 0.5, 20_001)
@@ -186,6 +249,23 @@ class TestFitLqmm:
         assert fit.gamma[0] == pytest.approx(oracle, abs=1e-3)
         assert fit.psi2 == 0.0
         assert fit.u == {"only": 0.0}
+
+    def test_single_group_with_estimated_psi2_rejected(self):
+        data = GroupedData(
+            z=np.array([0.1, 0.4, 0.5, 0.9]), X=np.ones((4, 1)),
+            group=["only"] * 4, group_weights={"only": 1.0},
+        )
+        with pytest.raises(ValidationError, match="two groups"):
+            fit_lqmm(data, 0.5)
+
+    @pytest.mark.parametrize("fix_psi2", [None, 0.0])
+    def test_constant_responses_rejected(self, fix_psi2):
+        data = GroupedData(
+            z=np.full(12, 0.4), X=np.ones((12, 1)),
+            group=["a"] * 6 + ["b"] * 6, group_weights={"a": 1.0, "b": 1.0},
+        )
+        with pytest.raises(ValidationError, match="constant"):
+            fit_lqmm(data, 0.5, fix_psi2=fix_psi2)
 
     def test_quantile_ordering_on_location_shift(self):
         rng = np.random.default_rng(33)
@@ -353,3 +433,66 @@ class TestBootstrap:
         data = make_grouped(rng, J=5, n_j=10)
         with pytest.raises(ValidationError):
             bootstrap_fits(data, 0.5, B=10, seed=0)
+
+
+def resample_via_grouped_data(data: GroupedData, rng) -> _Workspace:
+    """Reference replicate: a GroupedData of the picked groups, labelled g~k."""
+    labels = list(data.labels)
+    picks = rng.integers(0, len(labels), size=len(labels))
+    dom = np.asarray(data.group, dtype=object)
+    z, X, group, weights = [], [], [], {}
+    for k, j in enumerate(picks):
+        mask = dom == labels[j]
+        label = f"{labels[j]}~{k}"
+        z.append(data.z[mask])
+        X.append(data.X[mask])
+        group += [label] * int(mask.sum())
+        weights[label] = data.group_weights[labels[j]]
+    return _Workspace(
+        GroupedData(z=np.concatenate(z), X=np.vstack(X), group=group, group_weights=weights)
+    )
+
+
+class TestResampleGroups:
+    def uneven(self, seed, two_cell):
+        # Labels r0..r11 and copy indices past 9: their string order differs
+        # from both the pick order and the (group, copy) order.
+        rng = np.random.default_rng(seed)
+        z, X, group, weights = [], [], [], {}
+        for j in range(12):
+            g = f"r{j}"
+            weights[g] = float(rng.uniform(0.5, 2.0))
+            for _ in range(int(rng.integers(1, 7))):
+                cell = int(two_cell and rng.random() < 0.5)
+                z.append(float(rng.uniform()))
+                X.append([1.0 - cell, float(cell)])
+                group.append(g)
+        order = rng.permutation(len(z))
+        return GroupedData(
+            z=np.array(z)[order], X=np.array(X)[order],
+            group=[group[i] for i in order], group_weights=weights,
+        )
+
+    @pytest.mark.parametrize("two_cell", [False, True])
+    def test_gather_matches_grouped_data_build(self, two_cell):
+        for seed in range(5):
+            data = self.uneven(seed, two_cell)
+            base = _Workspace(data)
+            got = _resample_groups(base, np.random.default_rng(seed))
+            ref = resample_via_grouped_data(data, np.random.default_rng(seed))
+            assert got.labels == ref.labels
+            for name in ("z", "X", "starts", "weights"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+            assert (got.zs is None) == (ref.zs is None) == two_cell
+            if not two_cell:
+                np.testing.assert_array_equal(got.zs, ref.zs)
+            for psi2 in (0.0, 0.003, 0.2):
+                args = (np.array([0.4, 0.6]), psi2, 0.07, 0.3)
+                assert got.loglik_exact(*args) == ref.loglik_exact(*args)
+
+    def test_refit_leaves_workspace_weights(self):
+        data = self.uneven(0, two_cell=True)
+        ws = _resample_groups(_Workspace(data), np.random.default_rng(1))
+        before = ws.weights.copy()
+        fit_lqmm(ws, 0.5, restarts=1, compute_modes=False)
+        np.testing.assert_array_equal(ws.weights, before)
