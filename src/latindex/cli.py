@@ -285,6 +285,8 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
             tau,
             restarts=config.lqmm.restarts,
         )
+        if not fit.converged:
+            raise NumericalError(f"LQMM base fit at tau={tau:g} did not converge")
         boot = bootstrap_fits(
             data,
             tau,

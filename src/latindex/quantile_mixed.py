@@ -13,24 +13,34 @@ but converges only slowly on the kinked integrand.
 Maximization is derivative-free local search (the likelihood has kinks
 in gamma, so Newton-type methods are unreliable); confidence intervals
 come from a nonparametric cluster bootstrap that resamples whole groups.
+The bootstrap refits run in lockstep: one Nelder-Mead step per replicate
+per round and one likelihood evaluation for all of them, with each
+replicate's numbers exactly those of a refit on its own.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from .errors import NumericalError, ValidationError
-from .optimize import golden_max
+from .optimize import golden_max, nelder_mead_batch
 from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation
 
 PSI2_FLOOR = 1e-10
 SIGMA_FLOOR = 1e-8
+# Bootstrap replicates are refitted in lockstep batches of at most this
+# many likelihood segments (at least one replicate each), which bounds
+# the memory the batch's likelihood layout takes.
+BATCH_SEGMENTS = 1 << 16
+# The exact likelihood works through its pieces in runs of this many, so
+# that its work buffers stay small (and in cache) however large the batch.
+_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +196,214 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, tau: float) -> f
 # ---------------------------------------------------------------------------
 
 
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """Group weights scaled to sum to the number of groups."""
+    return weights * (len(weights) / weights.sum())
+
+
+def _point_mass_loglik(z, X, starts, weights, gamma, sigma, tau) -> float:
+    """The weighted log-likelihood at psi2 = 0: the ALD sum at u = 0."""
+    const = math.log(tau * (1.0 - tau)) - math.log(sigma)
+    resid = z - X @ gamma
+    loss = resid * (tau - (resid < 0))
+    per_unit = const - loss / sigma
+    per_group = np.add.reduceat(per_unit, starts)
+    return float(weights @ per_group)
+
+
+def _ramp(out: np.ndarray, starts: np.ndarray, base, step: int) -> np.ndarray:
+    """Fill out[k] = base[g] + step * (k - starts[g]) on each run g = [starts[g], starts[g + 1])."""
+    out[:] = step
+    out[0] = base[0]
+    out[starts[1:]] = base[1:] - base[:-1] - step * (np.diff(starts) - 1)
+    return out.cumsum(out=out)
+
+
+def _storage(ws: "_Workspace", picks: np.ndarray) -> SimpleNamespace:
+    """Arrays for the _layout of picks, or of any subset of its rows, and for _exact_loglik."""
+    m = len(picks)
+    sizes = ws.sizes[picks]
+    n = sizes.sum(axis=1)
+    T, n_max = int(n.sum()), int(n.max())
+    S = T + picks.size
+    chunk = max(min(_CHUNK, S), int(sizes.max()) + 1)  # the longest run of pieces one pass takes
+    return SimpleNamespace(
+        sg=np.empty(S, dtype=np.intp),
+        lo=np.empty(S, dtype=np.intp),
+        p=np.empty(S, dtype=np.intp),
+        neg_d=np.empty(S),
+        z=np.empty(T),
+        row_group=np.empty(T, dtype=np.intp),
+        row_pad=np.empty(T, dtype=np.intp),
+        X=np.zeros(0 if ws.zs is not None else m * n_max * ws.P),
+        rows=np.empty(T + 1),
+        cs0=np.empty(m * (n_max + 1)),
+        padded=np.zeros(m * n_max),
+        w=np.empty((5, chunk)),
+        mask=np.empty((2, chunk), dtype=bool),
+    )
+
+
+def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace) -> SimpleNamespace:
+    """The exact likelihood's index arrays for m resamples of ws's groups, written into st.
+
+    Resample i is ws.gather(..., picks[i]): the groups picks[i] of ws, in
+    that order. Its rows follow resample i - 1's, and group j contributes
+    n_j + 1 pieces of the piecewise-exponential integrand, in row order.
+    lo indexes the group-major sorted residuals, whose slot T holds -inf;
+    a piece's upper end is the next piece's lower end, except that each
+    group's last piece ends at +inf. Row i of the padded (m, n_max + 1)
+    array cs0 holds 0.0 and then resample i's running sums of its sorted
+    residuals, so the sum of the j smallest residuals of a group is
+    cs0[p] - cs0[group_b]: exactly 0.0 on first pieces. chunks cut the
+    pieces at group boundaries into runs of at most _CHUNK (or one
+    group's). The arrays are views of st, so rebuilding the layout for
+    another set of resamples allocates nothing of the size of the pieces.
+    """
+    m, J = picks.shape
+    flat = picks.ravel()
+    G = flat.size
+    sizes = ws.sizes[flat]
+    n = sizes.reshape(m, J).sum(axis=1)
+    T, n_max = int(n.sum()), int(n.max())
+    S = T + G
+    rows, starts = ws.group_rows(flat, st.row_group[:T])
+    seg_starts = np.cumsum(sizes + 1) - (sizes + 1)
+    row0 = np.cumsum(n) - n
+    shift = np.repeat(np.arange(m) * (n_max + 1) - row0, J)  # global row -> cs0 column, per group
+    groups = np.arange(G)
+
+    sg = _ramp(st.sg[:S], seg_starts, groups, 0)  # each piece's group
+    lo = _ramp(st.lo[:S], seg_starts, np.zeros(G, dtype=np.intp), 1)  # piece index in its group
+    p = sizes.take(sg, out=st.p[:S])
+    neg_d = np.multiply(p, tau, out=st.neg_d[:S])  # minus the slope in u of each piece's check loss
+    np.negative(np.subtract(lo, neg_d, out=neg_d), out=neg_d)
+    lo += starts.take(sg, out=p)  # the row of the piece's upper end
+    np.add(shift.take(sg, out=p), lo, out=p)
+    lo -= 1
+    lo[seg_starts] = T
+
+    z = (ws.z if ws.zs is None else ws.zs).take(rows, out=st.z[:T])
+    row_pad = None  # each row's slot in a padded (m, n_max) array, when rows are padded
+    if T != m * n_max:
+        row_pad = _ramp(st.row_pad[:T], row0, np.arange(m) * n_max, 1)
+    if ws.zs is not None:
+        X = ws.Xg[flat].reshape(m, J, ws.P)
+    elif row_pad is None:
+        X = ws.X.take(rows, axis=0, out=st.X[: T * ws.P].reshape(T, ws.P)).reshape(m, n_max, ws.P)
+    else:
+        X = st.X[: m * n_max * ws.P].reshape(m * n_max, ws.P)
+        X[row_pad] = ws.X[rows]
+        X = X.reshape(m, n_max, ws.P)
+
+    ends = seg_starts + sizes + 1
+    chunks, g0 = [], 0
+    while g0 < G:
+        g1 = max(g0 + 1, int(np.searchsorted(ends, seg_starts[g0] + _CHUNK, side="right")))
+        s0, s1 = seg_starts[g0], ends[g1 - 1]
+        chunks.append((s0, s1, g0, g1, seg_starts[g0:g1] - s0, ends[g0:g1] - 1 - s0))
+        g0 = g1
+    return SimpleNamespace(
+        m=m, J=J, T=T, n_max=n_max, tau=tau, presorted=ws.zs is not None,
+        starts=starts, sizes=sizes, sg=sg, lo=lo, p=p, group_b=starts + shift, neg_d=neg_d,
+        row_group=_ramp(rows, starts, groups, 0), row_pad=row_pad, z=z, X=X, chunks=chunks,
+    )
+
+
+def _exact_loglik(L, work, gamma, psi2, sigma, weights) -> np.ndarray:
+    """The weighted log-likelihood of each resample of layout L, intercept integrated out.
+
+    gamma is (m, P), psi2 and sigma (m,) with psi2 > PSI2_FLOOR, weights
+    (m, J). Between consecutive sorted residuals of a group the total
+    check loss is linear in u, so each piece integrates in closed form:
+    integral of exp(a u + b) phi(u; 0, psi2) over [lo, hi] equals
+    exp(b + a^2 psi2 / 2) * (Phi((hi - a psi2)/psi) - Phi((lo - a psi2)/psi)).
+
+    Resamples never mix: reductions run over one group's pieces, the
+    running sums restart at each resample (a padded (m, n_max) array
+    accumulated along axis 1), the scalars are each resample's own Python
+    floats and the weighted sum over groups is one dot product per
+    resample. So resample i's value does not depend on the others.
+    """
+    m, J, T, n_max, tau = L.m, L.J, L.T, L.n_max, L.tau
+    const = np.array([math.log(tau * (1.0 - tau)) - math.log(v) for v in sigma.tolist()])
+    psi = np.array([math.sqrt(v) for v in psi2.tolist()])
+
+    buf = work.rows[: T + 1]
+    buf[T] = -np.inf
+    s = buf[:T]  # residuals sorted within each group
+    xg = np.matmul(L.X, np.ascontiguousarray(gamma)[:, :, None]).ravel()
+    row_tmp = work.cs0[:T]
+    if L.presorted:
+        # One design row per group: z - x_j' gamma keeps the order of z.
+        np.subtract(L.z, xg.take(L.row_group, out=row_tmp), out=s)
+    else:
+        resid = np.subtract(L.z, xg if L.row_pad is None else xg.take(L.row_pad, out=row_tmp), out=row_tmp)
+        resid.take(np.lexsort((resid, L.row_group)), out=s)
+    if L.row_pad is None:
+        padded = s
+    else:
+        padded = work.padded[: m * n_max]
+        padded[L.row_pad] = s
+    cs0 = work.cs0[: m * (n_max + 1)].reshape(m, n_max + 1)
+    cs0[:, 0] = 0.0
+    np.add.accumulate(padded.reshape(m, n_max), axis=1, out=cs0[:, 1:])
+    cs0 = cs0.ravel()
+    group_tot = np.add.reduceat(s, L.starts)
+    group_base = cs0.take(L.group_b)
+    group_sigma, group_psi2, group_psi = np.repeat(sigma, J), np.repeat(psi2, J), np.repeat(psi, J)
+
+    mx_all, logint = np.empty(m * J), np.empty(m * J)
+    for s0, s1, g0, g1, piece_starts, last in L.chunks:
+        w0, w1, w2, w3, w4 = work.w[:, : s1 - s0]
+        flip, keep = work.mask[:, : s1 - s0]
+        sg = L.sg[s0:s1]
+        # c = tau * (group_tot - prefix) - (1 - tau) * prefix, a = neg_d / sigma
+        # and b = c / -sigma (== -c / sigma: rounding is symmetric in sign).
+        prefix = np.subtract(cs0.take(L.p[s0:s1], out=w0), group_base.take(sg, out=w1), out=w0)
+        c = np.subtract(group_tot.take(sg, out=w2), prefix, out=w2)
+        np.subtract(np.multiply(c, tau, out=c), np.multiply(prefix, 1.0 - tau, out=w1), out=c)
+        sig = group_sigma.take(sg, out=w1)
+        a = np.divide(L.neg_d[s0:s1], sig, out=w3)
+        b = np.divide(c, np.negative(sig, out=sig), out=c)
+        # head = b + 0.5 * a * a * psi2, the first two terms of each piece's log
+        var = group_psi2.take(sg, out=w1)
+        a_psi2 = np.multiply(a, var, out=w0)
+        quad = np.multiply(np.multiply(np.multiply(a, 0.5, out=w4), a, out=w4), var, out=w4)
+        head = np.add(b, quad, out=b)
+
+        lo = buf.take(L.lo[s0:s1], out=w1)
+        hi = w3
+        hi[:-1] = lo[1:]
+        hi[last] = np.inf
+        sd = group_psi.take(sg, out=w4)
+        alpha = np.divide(np.subtract(lo, a_psi2, out=lo), sd, out=lo)
+        beta = np.divide(np.subtract(hi, a_psi2, out=hi), sd, out=hi)
+        # Pieces above 0 use Phi(beta) - Phi(alpha) = Phi(-alpha) - Phi(-beta),
+        # whose log log_ndtr evaluates without cancellation.
+        np.logical_not(np.greater(alpha, 0.0, out=flip), out=keep)
+        lo_arg = np.negative(beta, out=w0)  # where(flip, -beta, alpha)
+        np.copyto(lo_arg, alpha, where=keep)
+        hi_arg = np.negative(alpha, out=w4)  # where(flip, -alpha, beta)
+        np.copyto(hi_arg, beta, where=keep)
+        la, lb = log_ndtr(lo_arg, out=w1), log_ndtr(hi_arg, out=w3)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ldiff = np.minimum(np.subtract(la, lb, out=w0), 0.0, out=w0)
+            np.log1p(np.negative(np.exp(ldiff, out=ldiff), out=ldiff), out=ldiff)
+            np.add(lb, ldiff, out=ldiff)
+        terms = np.add(head, ldiff, out=head)
+        np.copyto(terms, -np.inf, where=np.logical_not(np.isfinite(terms, out=flip), out=keep))
+
+        mx = np.maximum.reduceat(terms, piece_starts)
+        mx = mx_all[g0:g1] = np.where(np.isfinite(mx), mx, 0.0)
+        blown = np.exp(np.subtract(terms, mx_all.take(sg, out=w0), out=w0), out=w0)
+        logint[g0:g1] = mx + np.log(np.add.reduceat(blown, piece_starts))
+    per_group = L.sizes.reshape(m, J) * const[:, None] + logint.reshape(m, J)
+    return np.array(list(map(np.dot, weights, per_group)))
+
+
 class _Workspace:
-    """Rows grouped by label plus the static segment layout for exact integration.
+    """Rows grouped by label, for the likelihoods and the start values.
 
     z, X and g_sorted hold each group's rows in input order, groups in
     label order; the start values, the conditional modes and the psi2 = 0
@@ -210,121 +426,109 @@ class _Workspace:
         weights = np.array([data.group_weights[x] for x in labels])
         self._setup(labels, z, X, g_sorted, weights, data.column_names, zs)
 
-    @classmethod
-    def _from_rows(cls, labels, z, X, g_sorted, weights, column_names, zs) -> "_Workspace":
-        ws = cls.__new__(cls)
-        ws._setup(labels, z, X, g_sorted, weights, column_names, zs)
-        return ws
-
     def _setup(self, labels, z, X, g_sorted, weights, column_names, zs) -> None:
         self.labels = labels
         self.z, self.X, self.g_sorted = z, X, g_sorted
         self.weights = weights
         self.column_names = column_names
         self.n, self.P = X.shape
-        J = len(labels)
-        self.starts = np.searchsorted(g_sorted, np.arange(J))
+        self.starts = np.searchsorted(g_sorted, np.arange(len(labels)))
+        self.sizes = np.diff(np.append(self.starts, self.n))
         # Presorted path: one design row per group (Xg) and responses
         # sorted within each group (zs); None when a group mixes rows.
         self.zs = zs
         self.Xg = None if zs is None else X[self.starts]
+        self._exact = None  # layout and buffers, built on first use
 
-        # Segment layout: group j contributes n_j + 1 pieces of the
-        # piecewise-exponential integrand. All arrays below are static.
-        sizes = np.diff(np.append(self.starts, self.n))
-        self.sizes = sizes
-        self.seg_group = np.repeat(np.arange(J), sizes + 1)
-        self.seg_starts = np.concatenate([[0], np.cumsum(sizes + 1)])[:-1]
-        self.seg_m = sizes[self.seg_group]  # n_j per segment
-        self.seg_j = np.arange(self.seg_group.size) - self.seg_starts[self.seg_group]  # piece index
-        # Gather indices into the group-major sorted residuals held in
-        # _buf; the sentinel slots n and n+1 hold -inf / +inf. The sum of
-        # the j smallest residuals of a group is _cs0[p_idx] - _cs0[b_idx]
-        # with _cs0 = [0, cumsum]; it is exactly 0.0 on first pieces.
-        row_offset = self.starts[self.seg_group]
-        self.lo_idx = np.where(self.seg_j == 0, self.n, row_offset + self.seg_j - 1)
-        self.hi_idx = np.where(self.seg_j == self.seg_m, self.n + 1, row_offset + self.seg_j)
-        self.b_idx = row_offset
-        self.p_idx = row_offset + self.seg_j
-        self._buf = np.empty(self.n + 2)
-        self._buf[self.n :] = (-np.inf, np.inf)
-        self._cs0 = np.zeros(self.n + 1)
-        self._neg_d: dict[float, np.ndarray] = {}  # -(seg_j - tau * seg_m) per tau
+    def group_rows(self, picked: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of the picked groups' blocks laid end to end, and each block's start."""
+        sizes = self.sizes[picked]
+        starts = np.cumsum(sizes) - sizes
+        if out is None:
+            out = np.empty(int(sizes.sum()), dtype=np.intp)
+        return _ramp(out, starts, self.starts[picked], 1), starts
 
-    def _sorted_residuals(self, gamma) -> np.ndarray:
-        """Residuals sorted within each group, written into _buf[:n]."""
-        s = self._buf[: self.n]
-        if self.zs is not None:
-            np.subtract(self.zs, (self.Xg @ gamma)[self.g_sorted], out=s)
-        else:
-            resid = self.z - self.X @ gamma
-            resid.take(np.lexsort((resid, self.g_sorted)), out=s)
-        return s
+    def gather(self, labels, picked: np.ndarray) -> "_Workspace":
+        """Workspace of the picked groups (repeats allowed), relabelled in order."""
+        rows, _ = self.group_rows(picked)
+        ws = _Workspace.__new__(_Workspace)
+        ws._setup(
+            labels,
+            self.z[rows],
+            self.X[rows],
+            np.repeat(np.arange(len(labels)), self.sizes[picked]),
+            self.weights[picked],
+            self.column_names,
+            None if self.zs is None else self.zs[rows],
+        )
+        return ws
+
+    def normalize_weights(self) -> None:
+        """Scale the group weights to sum to the number of groups."""
+        self.weights = _normalized(self.weights)
 
     def loglik_exact(self, gamma, psi2, sigma, tau) -> float:
-        """Weighted log-likelihood with the intercept integrated out exactly.
-
-        Between consecutive sorted residuals of a group the total check
-        loss is linear in u, so each piece integrates in closed form:
-        integral of exp(a u + b) phi(u; 0, psi2) over [lo, hi] equals
-        exp(b + a^2 psi2 / 2) * (Phi((hi - a psi2)/psi) - Phi((lo - a psi2)/psi)).
-        """
-        const = math.log(tau * (1.0 - tau)) - math.log(sigma)
+        """Weighted log-likelihood with the intercept integrated out exactly."""
         if psi2 <= PSI2_FLOOR:
-            resid = self.z - self.X @ gamma
-            loss = resid * (tau - (resid < 0))
-            per_unit = const - loss / sigma
-            per_group = np.add.reduceat(per_unit, self.starts)
-            return float(self.weights @ per_group)
-
-        neg_d = self._neg_d.get(tau)
-        if neg_d is None:
-            neg_d = self._neg_d[tau] = -(self.seg_j - tau * self.seg_m)
-        psi = math.sqrt(psi2)
-        s = self._sorted_residuals(gamma)
-        cs0 = self._cs0
-        np.add.accumulate(s, out=cs0[1:])
-        group_tot = np.add.reduceat(s, self.starts)
-
-        prefix = cs0[self.p_idx] - cs0[self.b_idx]
-        c = tau * (group_tot[self.seg_group] - prefix) - (1.0 - tau) * prefix
-        a = neg_d / sigma
-        b = c / -sigma  # == -c / sigma: rounding is symmetric in sign
-
-        a_psi2 = a * psi2
-        alpha = (self._buf[self.lo_idx] - a_psi2) / psi
-        beta = (self._buf[self.hi_idx] - a_psi2) / psi
-        # Pieces above 0 use Phi(beta) - Phi(alpha) = Phi(-alpha) - Phi(-beta),
-        # whose log log_ndtr evaluates without cancellation.
-        flip = alpha > 0.0
-        la = log_ndtr(np.where(flip, -beta, alpha))
-        lb = log_ndtr(np.where(flip, -alpha, beta))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ldiff = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-        terms = b + 0.5 * a * a * psi2 + ldiff
-        terms = np.where(np.isfinite(terms), terms, -np.inf)
-
-        mx = np.maximum.reduceat(terms, self.seg_starts)
-        mx = np.where(np.isfinite(mx), mx, 0.0)
-        blown = np.exp(terms - mx[self.seg_group])
-        logint = mx + np.log(np.add.reduceat(blown, self.seg_starts))
-        per_group = self.sizes * const + logint
-        return float(self.weights @ per_group)
+            return _point_mass_loglik(self.z, self.X, self.starts, self.weights, gamma, sigma, tau)
+        if self._exact is None or self._exact[0].tau != tau:
+            picks = np.arange(len(self.labels))[None]
+            work = _storage(self, picks)
+            self._exact = _layout(self, picks, tau, work), work
+        gamma = np.asarray(gamma, dtype=float)[None]
+        out = _exact_loglik(*self._exact, gamma, np.array([psi2]), np.array([sigma]), self.weights[None])
+        return float(out[0])
 
     def loglik_quadrature(self, gamma, psi2, sigma, tau, rule: HermiteRule) -> float:
+        if psi2 <= PSI2_FLOOR:
+            return _point_mass_loglik(self.z, self.X, self.starts, self.weights, gamma, sigma, tau)
         resid = self.z - self.X @ gamma
         const = math.log(tau * (1.0 - tau)) - math.log(sigma)
-        if psi2 <= PSI2_FLOOR:
-            loss = resid * (tau - (resid < 0))
-            per_unit = const - loss / sigma
-            per_group = np.add.reduceat(per_unit, self.starts)
-            return float(self.weights @ per_group)
         u = math.sqrt(psi2) * rule.standard_normal_points()[0]
         d = resid[:, None] - u[None, :]
         loss = d * (tau - (d < 0))
         per_unit = const - loss / sigma
         per_group = np.add.reduceat(per_unit, self.starts, axis=0)
         return float(self.weights @ log_gaussian_expectation(per_group, rule))
+
+
+class _Batch:
+    """loglik_exact of many bootstrap replicates at once, one value each.
+
+    Replicate i is ws.gather(..., picks[i]) with normalized weights. The
+    running replicates are laid end to end in one _layout, rebuilt when
+    that set changes, and evaluated by one _exact_loglik call; those at
+    the point-mass floor of psi2 take the scalar branch one at a time.
+    Each value is bit-identical to that replicate's own loglik_exact.
+    """
+
+    def __init__(self, ws: _Workspace, picks: np.ndarray, tau: float):
+        self.ws, self.picks, self.tau = ws, picks, tau
+        self.weights = np.array([_normalized(ws.weights[p]) for p in picks])
+        self._work = _storage(ws, picks)  # large enough for any subset
+        self._layout = _layout(ws, picks, tau, self._work)
+        self._key = np.arange(len(picks)).tobytes()
+
+    def loglik_exact(self, idx, gamma, psi2, sigma) -> np.ndarray:
+        """Replicate idx[i]'s loglik_exact(gamma[i], psi2[i], sigma[i], tau) for each i."""
+        out = np.empty(idx.size)
+        low = psi2 <= PSI2_FLOOR
+        for i in np.flatnonzero(low):
+            r = idx[i]
+            rows, starts = self.ws.group_rows(self.picks[r])
+            out[i] = _point_mass_loglik(
+                self.ws.z[rows], self.ws.X[rows], starts, self.weights[r], gamma[i], sigma[i], self.tau
+            )
+        if not low.all():
+            high = idx[~low]
+            key = high.tobytes()
+            if key != self._key:
+                self._layout = _layout(self.ws, self.picks[high], self.tau, self._work)
+                self._key = key
+            out[~low] = _exact_loglik(
+                self._layout, self._work, gamma[~low], psi2[~low], sigma[~low], self.weights[high]
+            )
+        return out
 
 
 def lqmm_loglik(
@@ -430,8 +634,54 @@ def _conditional_modes(ws: _Workspace, gamma, psi2, sigma, tau) -> np.ndarray:
     return modes
 
 
+def _unpack(theta, P: int, fix_psi2: float | None):
+    """(gamma, psi2, sigma) from the optimizer's (gamma, log sigma[, log psi2])."""
+    sigma = math.exp(min(theta[P], 50.0)) + SIGMA_FLOOR
+    psi2 = fix_psi2 if fix_psi2 is not None else math.exp(min(theta[P + 1], 50.0))
+    return theta[:P], psi2, sigma
+
+
+def _theta(gamma, psi2: float, sigma: float, estimate_psi: bool) -> np.ndarray:
+    """The optimizer's parameter vector at (gamma, psi2, sigma)."""
+    return np.concatenate(
+        [gamma, [math.log(sigma)], [math.log(max(psi2, PSI2_FLOOR))] if estimate_psi else []]
+    )
+
+
+def _finish_fit(
+    ws: _Workspace, tau: float, theta, converged: bool, fix_psi2: float | None, compute_modes: bool
+) -> QuantileMixedFit:
+    """The fit at the optimizer's theta: modes, recentring and the final loglik."""
+    gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
+    gamma = np.asarray(gamma, dtype=float).copy()
+    if compute_modes:
+        modes = _conditional_modes(ws, gamma, psi2, sigma, tau)
+        # Recentre: move the weighted mean of the modes into gamma when the
+        # design spans the constant vector.
+        wbar = float(ws.weights @ modes) / float(ws.weights.sum())
+        if wbar != 0.0:
+            c, residual, *_ = np.linalg.lstsq(ws.X, np.ones(ws.n), rcond=None)
+            if np.max(np.abs(ws.X @ c - 1.0)) < 1e-8:
+                gamma = gamma + wbar * c
+                modes = modes - wbar
+    else:
+        modes = np.zeros(len(ws.labels))
+
+    loglik = ws.loglik_exact(gamma, psi2, sigma, tau)
+    return QuantileMixedFit(
+        tau=tau,
+        gamma=gamma,
+        psi2=float(psi2),
+        sigma=float(sigma),
+        u={g: float(m) for g, m in zip(ws.labels, modes)},
+        loglik=float(loglik),
+        converged=bool(converged),
+        column_names=ws.column_names,
+    )
+
+
 def fit_lqmm(
-    data: GroupedData | _Workspace,
+    data: GroupedData,
     tau: float,
     *,
     restarts: int = 5,
@@ -458,27 +708,19 @@ def fit_lqmm(
     optimizing; the reported loglik is on that normalized scale.
 
     Constant responses, and a single group when psi2 is estimated, leave
-    the model unidentified and raise ValidationError. A bootstrap refit
-    passes the workspace from _resample_groups instead of GroupedData and
-    skips that check.
+    the model unidentified and raise ValidationError.
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError("tau must lie strictly inside (0, 1)")
     if restarts < 1:
         raise ValidationError("need at least one optimizer start")
 
-    if isinstance(data, _Workspace):
-        # A shallow copy: the weight normalization below must not reach
-        # the caller's workspace.
-        ws = copy.copy(data)
-    else:
-        ws = _Workspace(data)
-        if fix_psi2 is None and len(ws.labels) < 2:
-            raise ValidationError("estimating psi2 needs at least two groups (or pass fix_psi2)")
-        if ws.n == 0 or ws.z.min() == ws.z.max():
-            raise ValidationError("responses are constant: the model is not identified")
-    J = len(ws.labels)
-    ws.weights = ws.weights * (J / ws.weights.sum())
+    ws = _Workspace(data)
+    if fix_psi2 is None and len(ws.labels) < 2:
+        raise ValidationError("estimating psi2 needs at least two groups (or pass fix_psi2)")
+    if ws.n == 0 or ws.z.min() == ws.z.max():
+        raise ValidationError("responses are constant: the model is not identified")
+    ws.normalize_weights()
     row_weights = ws.weights[ws.g_sorted]
 
     if start is None:
@@ -490,25 +732,13 @@ def fit_lqmm(
     if not estimate_psi and fix_psi2 < 0:
         raise ValidationError("fix_psi2 must be nonnegative")
 
-    def unpack(theta):
-        gamma = theta[: ws.P]
-        sigma = math.exp(min(theta[ws.P], 50.0)) + SIGMA_FLOOR
-        if estimate_psi:
-            psi2 = math.exp(min(theta[ws.P + 1], 50.0))
-        else:
-            psi2 = fix_psi2
-        return gamma, psi2, sigma
-
     def negloglik(theta):
-        gamma, psi2, sigma = unpack(theta)
+        gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
         return -ws.loglik_exact(gamma, psi2, sigma, tau)
 
-    base = np.concatenate(
-        [gamma0, [math.log(sigma0)], [math.log(max(psi2_0, PSI2_FLOOR))] if estimate_psi else []]
-    )
-    dim = base.size
+    base = _theta(gamma0, psi2_0, sigma0, estimate_psi)
     if max_fev is None:
-        max_fev = 400 * dim
+        max_fev = 400 * base.size
 
     best = None
     jitter_rng = np.random.default_rng(1729)
@@ -532,35 +762,7 @@ def fit_lqmm(
         )
         if best is None or res.fun < best.fun:
             best = res
-
-    gamma, psi2, sigma = unpack(best.x)
-    gamma = np.asarray(gamma, dtype=float).copy()
-    converged = bool(best.success)
-
-    if compute_modes:
-        modes = _conditional_modes(ws, gamma, psi2, sigma, tau)
-        # Recentre: move the weighted mean of the modes into gamma when the
-        # design spans the constant vector.
-        wbar = float(ws.weights @ modes) / float(ws.weights.sum())
-        if wbar != 0.0:
-            c, residual, *_ = np.linalg.lstsq(ws.X, np.ones(ws.n), rcond=None)
-            if np.max(np.abs(ws.X @ c - 1.0)) < 1e-8:
-                gamma = gamma + wbar * c
-                modes = modes - wbar
-    else:
-        modes = np.zeros(J)
-
-    loglik = ws.loglik_exact(gamma, psi2, sigma, tau)
-    return QuantileMixedFit(
-        tau=tau,
-        gamma=gamma,
-        psi2=float(psi2) if estimate_psi else float(fix_psi2),
-        sigma=float(sigma),
-        u={g: float(m) for g, m in zip(ws.labels, modes)},
-        loglik=float(loglik),
-        converged=converged,
-        column_names=ws.column_names,
-    )
+    return _finish_fit(ws, tau, best.x, best.success, fix_psi2, compute_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +861,8 @@ def predict_conditional(
 # ---------------------------------------------------------------------------
 
 
-def _resample_groups(ws: _Workspace, rng: np.random.Generator) -> _Workspace:
-    """Workspace of J groups drawn with replacement, gathered from ws's row blocks.
+def _pick_groups(ws: _Workspace, rng: np.random.Generator) -> tuple[list[str], np.ndarray]:
+    """Labels and source groups of J groups drawn with replacement, in label order.
 
     Copy k of group g is labelled f"{g}~{k}" and the copies are ordered
     as those labels sort, exactly as _Workspace orders them when built
@@ -671,48 +873,39 @@ def _resample_groups(ws: _Workspace, rng: np.random.Generator) -> _Workspace:
     picks = rng.integers(0, J, size=J)
     names = [f"{ws.labels[j]}~{k}" for k, j in enumerate(picks.tolist())]
     order = sorted(range(J), key=names.__getitem__)
-    picked = picks[order]
-    sizes = ws.sizes[picked]
-    new_starts = np.cumsum(sizes) - sizes
-    rows = np.arange(sizes.sum()) + np.repeat(ws.starts[picked] - new_starts, sizes)
-    return _Workspace._from_rows(
-        [names[k] for k in order],
-        ws.z[rows],
-        ws.X[rows],
-        np.repeat(np.arange(J), sizes),
-        ws.weights[picked],
-        ws.column_names,
-        None if ws.zs is None else ws.zs[rows],
-    )
+    return [names[k] for k in order], picks[order]
 
 
-def _bootstrap_one(
+def _refit_lockstep(
     ws: _Workspace,
+    draws: list[tuple[list[str], np.ndarray]],
     tau: float,
-    seed: int,
-    b: int,
-    start: tuple[np.ndarray, float, float],
+    theta0: np.ndarray,
     max_fev: int,
     compute_modes: bool,
-) -> tuple[np.ndarray, float, float, dict[str, float], bool]:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-    resampled = _resample_groups(ws, rng)
+) -> list[QuantileMixedFit]:
+    """Refit each resample (labels, picked groups) of ws from theta0, in lockstep.
+
+    Each replicate follows the path scipy's Nelder-Mead takes on it alone
+    (see nelder_mead_batch), and each round evaluates every running
+    replicate in one batched likelihood call.
+    """
+    batch = _Batch(ws, np.array([picked for _, picked in draws]), tau)
+
+    def negloglik(idx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        params = np.array([_unpack(theta, ws.P, None)[1:] for theta in thetas.tolist()])
+        return -batch.loglik_exact(idx, thetas[:, : ws.P], params[:, 0], params[:, 1])
+
     # Percentile intervals tolerate coarser optima than the base fit.
-    fit = fit_lqmm(
-        resampled,
-        tau,
-        restarts=1,
-        start=start,
-        max_fev=max_fev,
-        xatol=1e-5,
-        fatol=1e-8,
-        compute_modes=compute_modes,
+    res = nelder_mead_batch(
+        negloglik, np.tile(theta0, (len(draws), 1)), xatol=1e-5, fatol=1e-8, maxiter=max_fev, maxfev=max_fev
     )
-    u_by_original: dict[str, float] = {}
-    for label, val in fit.u.items():
-        original = label.rsplit("~", 1)[0]
-        u_by_original.setdefault(original, val)
-    return fit.gamma, fit.psi2, fit.sigma, u_by_original, fit.converged
+    fits = []
+    for i, (labels, picked) in enumerate(draws):
+        rep = ws.gather(labels, picked)
+        rep.normalize_weights()
+        fits.append(_finish_fit(rep, tau, res.x[i], res.success[i], None, compute_modes))
+    return fits
 
 
 def bootstrap_fits(
@@ -723,7 +916,6 @@ def bootstrap_fits(
     *,
     base_fit: QuantileMixedFit | None = None,
     max_fev: int | None = None,
-    n_jobs: int = 1,
     group_effects: bool = True,
 ) -> BootstrapFits:
     """Nonparametric cluster bootstrap: resample groups with replacement.
@@ -732,44 +924,53 @@ def bootstrap_fits(
     refits from the base fit's parameters, and contributes one parameter
     vector. Refits that fail to converge are dropped and counted; more
     than 20% drops is an error. Replicate b derives its stream from
-    (seed, b), so results are independent of scheduling and n_jobs.
-    group_effects=False skips the per-replicate conditional modes (only
-    fixed-effect intervals are then available).
+    (seed, b), and the refits run in lockstep batches whose size
+    (BATCH_SEGMENTS) changes no result. group_effects=False skips the
+    per-replicate conditional modes (only fixed-effect intervals are then
+    available).
     """
     if B < 50:
         raise ValidationError("bootstrap needs B >= 50 replicates")
     if base_fit is None:
         base_fit = fit_lqmm(data, tau)
-    start = (base_fit.gamma, max(base_fit.psi2, PSI2_FLOOR * 10), base_fit.sigma)
+    theta0 = _theta(base_fit.gamma, max(base_fit.psi2, PSI2_FLOOR * 10), base_fit.sigma, True)
     if max_fev is None:
         max_fev = 200 * (data.X.shape[1] + 2)
 
     ws = _Workspace(data)
-    args = [
-        (ws, tau, seed, b, start, max_fev, group_effects) for b in range(B)
-    ]
-    if n_jobs > 1:
-        from multiprocessing import Pool
+    fits: list[QuantileMixedFit] = []
+    draws: list[tuple[list[str], np.ndarray]] = []
+    segments = 0
+    for b in range(B):
+        labels, picked = _pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b))))
+        size = int(ws.sizes[picked].sum()) + len(labels)
+        if draws and segments + size > BATCH_SEGMENTS:
+            fits += _refit_lockstep(ws, draws, tau, theta0, max_fev, group_effects)
+            draws, segments = [], 0
+        draws.append((labels, picked))
+        segments += size
+    fits += _refit_lockstep(ws, draws, tau, theta0, max_fev, group_effects)
 
-        with Pool(n_jobs) as pool:
-            results = pool.starmap(_bootstrap_one, args)
-    else:
-        results = [_bootstrap_one(*a) for a in args]
-
-    kept = [r for r in results if r[4]]
+    kept = [fit for fit in fits if fit.converged]
     n_dropped = B - len(kept)
     if n_dropped > 0.2 * B:
         raise NumericalError(
             f"{n_dropped} of {B} bootstrap refits failed to converge"
         )
 
-    estimates = np.array([r[0] for r in kept])
+    u_by_group = []
+    for fit in kept:
+        u_by_original: dict[str, float] = {}
+        for label, val in fit.u.items():
+            u_by_original.setdefault(label.rsplit("~", 1)[0], val)
+        u_by_group.append(u_by_original)
+    estimates = np.array([fit.gamma for fit in kept])
     return BootstrapFits(
         tau=tau,
         estimates=estimates,
-        psi2=np.array([r[1] for r in kept]),
-        sigma=np.array([r[2] for r in kept]),
-        u_by_group=tuple(r[3] for r in kept),
+        psi2=np.array([fit.psi2 for fit in kept]),
+        sigma=np.array([fit.sigma for fit in kept]),
+        u_by_group=tuple(u_by_group),
         ci_low=np.quantile(estimates, 0.025, axis=0),
         ci_high=np.quantile(estimates, 0.975, axis=0),
         std_error=estimates.std(axis=0, ddof=1),

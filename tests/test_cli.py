@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -201,6 +202,19 @@ class TestFitStages:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and "constant" in err
         assert not os.path.exists(os.path.join(cfg.output_dir, "lqmm_fit_tau_0.5.csv"))
+
+    def test_fit_lqmm_non_converged_base_fit_exit_3(self, after_ltm, capsys, monkeypatch):
+        real_fit = cli.fit_lqmm
+
+        def stalled(*args, **kwargs):
+            return dataclasses.replace(real_fit(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(cli, "fit_lqmm", stalled)
+        assert run("fit-lqmm", after_ltm) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "did not converge" in err
+        cfg = load_config(after_ltm)
+        assert not any(name.startswith("lqmm_") for name in os.listdir(cfg.output_dir))
 
     def test_fit_lqmm_conditional_minus_marginal_is_region_effect(self, after_ltm):
         assert run("fit-lqmm", after_ltm) == 0

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import log_ndtr
 
+import latindex.quantile_mixed as qm
 from latindex.errors import ValidationError
 from latindex.quadrature import hermite_rule
 from latindex.quantile_mixed import (
+    PSI2_FLOOR,
     GroupedData,
-    _resample_groups,
+    _Batch,
+    _pick_groups,
+    _refit_lockstep,
+    _theta,
+    _unpack,
     _Workspace,
     ald_logdensity,
     bootstrap_fits,
@@ -393,16 +401,63 @@ class TestBootstrap:
         np.testing.assert_array_equal(a.ci_high, b.ci_high)
         np.testing.assert_array_equal(a.estimates, b.estimates)
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(49)
-        data = make_grouped(rng, J=12, n_j=15)
-        fit = fit_lqmm(data, 0.5, restarts=2)
-        serial = bootstrap_fits(data, 0.5, B=50, seed=5, base_fit=fit, n_jobs=1)
-        parallel = bootstrap_fits(data, 0.5, B=50, seed=5, base_fit=fit, n_jobs=2)
-        np.testing.assert_array_equal(serial.estimates, parallel.estimates)
-        np.testing.assert_array_equal(serial.psi2, parallel.psi2)
-        assert serial.u_by_group == parallel.u_by_group
-        assert serial.n_dropped == parallel.n_dropped
+    def test_batch_size_does_not_change_results(self, monkeypatch):
+        # Lockstep batches of one replicate, of about seven, and of all B.
+        sizes = []
+        refit = qm._refit_lockstep
+
+        def spy(ws, draws, *args):
+            sizes[-1].append(len(draws))
+            return refit(ws, draws, *args)
+
+        monkeypatch.setattr(qm, "_refit_lockstep", spy)
+        for two_cell in (False, True):
+            data = ragged_grouped(71, two_cell)
+            fit = fit_lqmm(data, 0.5, restarts=1)
+            caps = (1, 7 * (data.n_units + len(data.labels)), qm.BATCH_SEGMENTS)
+            for group_effects in (True, False):
+                runs = []
+                for cap in caps:
+                    monkeypatch.setattr(qm, "BATCH_SEGMENTS", cap)
+                    sizes.append([])
+                    runs.append(
+                        bootstrap_fits(data, 0.5, B=50, seed=5, base_fit=fit, group_effects=group_effects)
+                    )
+                one, several, whole = sizes[-3:]
+                assert one == [1] * 50 and whole == [50] and 1 < max(several) < 50
+                first = runs[0]
+                for other in runs[1:]:
+                    for name in ("estimates", "psi2", "sigma"):
+                        assert np.array_equal(getattr(first, name), getattr(other, name))
+                    assert first.u_by_group == other.u_by_group
+                    assert first.n_dropped == other.n_dropped
+
+    @pytest.mark.parametrize("two_cell", [False, True])
+    def test_lockstep_refit_matches_scipy_refit(self, two_cell):
+        # Each replicate refitted alone by scipy's Nelder-Mead, as the
+        # bootstrap did before the refits ran in lockstep.
+        data = ragged_grouped(73, two_cell)
+        fit = fit_lqmm(data, 0.5, restarts=1)
+        theta0 = _theta(fit.gamma, fit.psi2, fit.sigma, True)
+        base = _Workspace(data)
+        draws = resamples(base, 3, 12)
+        got = _refit_lockstep(base, draws, 0.5, theta0, 300, True)
+        for draw, lockstep in zip(draws, got):
+            ws = base.gather(*draw)
+            ws.normalize_weights()
+
+            def negloglik(theta):
+                gamma, psi2, sigma = _unpack(theta, ws.P, None)
+                return -ws.loglik_exact(gamma, psi2, sigma, 0.5)
+
+            res = minimize(
+                negloglik, theta0, method="Nelder-Mead",
+                options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 300, "maxfev": 300},
+            )
+            alone = qm._finish_fit(ws, 0.5, res.x, res.success, None, True)
+            assert np.array_equal(alone.gamma, lockstep.gamma)
+            assert (alone.psi2, alone.sigma, alone.loglik) == (lockstep.psi2, lockstep.sigma, lockstep.loglik)
+            assert alone.u == lockstep.u and alone.converged == lockstep.converged
 
     def test_ci_width_shrinks_with_more_groups(self):
         rng = np.random.default_rng(53)
@@ -478,7 +533,7 @@ class TestResampleGroups:
         for seed in range(5):
             data = self.uneven(seed, two_cell)
             base = _Workspace(data)
-            got = _resample_groups(base, np.random.default_rng(seed))
+            got = base.gather(*_pick_groups(base, np.random.default_rng(seed)))
             ref = resample_via_grouped_data(data, np.random.default_rng(seed))
             assert got.labels == ref.labels
             for name in ("z", "X", "starts", "weights"):
@@ -492,7 +547,159 @@ class TestResampleGroups:
 
     def test_refit_leaves_workspace_weights(self):
         data = self.uneven(0, two_cell=True)
-        ws = _resample_groups(_Workspace(data), np.random.default_rng(1))
+        ws = _Workspace(data)
         before = ws.weights.copy()
-        fit_lqmm(ws, 0.5, restarts=1, compute_modes=False)
+        _refit_lockstep(ws, resamples(ws, 1, 3), 0.5, np.array([0.4, 0.6, math.log(0.1), math.log(0.01)]), 200, False)
         np.testing.assert_array_equal(ws.weights, before)
+
+
+def resamples(ws, seed, k):
+    """The first k bootstrap draws (labels, picked groups) of ws for this seed."""
+    return [_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(k)]
+
+
+def ragged_grouped(seed, two_cell, J=10):
+    """Groups of 2-9 rows with uneven weights: a group-level covariate or two cells."""
+    rng = np.random.default_rng(seed)
+    z, X, group, weights = [], [], [], {}
+    for j in range(J):
+        g = f"r{j}"
+        weights[g] = float(rng.uniform(0.5, 2.0))
+        u = rng.normal(0.0, 0.05)
+        covariate = float(rng.uniform())
+        for _ in range(int(rng.integers(2, 10))):
+            cell = int(two_cell and rng.random() < 0.5)
+            z.append(float(np.clip(0.3 + 0.2 * cell + u + rng.normal(0.0, 0.1), 0.0, 1.0)))
+            X.append([1.0 - cell, float(cell)] if two_cell else [1.0, covariate])
+            group.append(g)
+    return GroupedData(z=np.array(z), X=np.array(X), group=group, group_weights=weights)
+
+
+@st.composite
+def replicate_batches(draw, two_cell: bool):
+    """Bootstrap replicates of random ragged data, a subset of them and parameters.
+
+    Group sizes run from 1 to 9 and psi2 falls on both sides of the
+    point-mass floor. The two-cell data always mix cells in one group, so
+    they take the sorting path.
+    """
+    J = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=J, max_size=J))
+    if two_cell:
+        sizes[0] = max(sizes[0], 2)
+    n = sum(sizes)
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    z = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit), min_size=n, max_size=n))
+    labels = [f"g{j}" for j in range(J)]
+    group = [g for g, m in zip(labels, sizes) for _ in range(m)]
+    if two_cell:
+        cells = [True, False] + draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+        X = [[0.0, 1.0] if c else [1.0, 0.0] for c in cells]
+    else:
+        covariate = draw(st.lists(unit, min_size=J, max_size=J))
+        X = [[1.0, covariate[labels.index(g)]] for g in group]
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=J, max_size=J))
+    data = GroupedData(
+        z=np.array(z), X=np.array(X), group=group, group_weights=dict(zip(labels, weights))
+    )
+    k = draw(st.integers(1, 6))
+    base = _Workspace(data)
+    draws = resamples(base, draw(st.integers(0, 1000)), k)
+    live = np.flatnonzero(draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any)))
+    psi2 = st.one_of(st.sampled_from([0.0, PSI2_FLOOR]), st.floats(1e-4, 1.0))
+    params = np.array(
+        [
+            [draw(st.floats(-0.5, 1.0)), draw(st.floats(-0.5, 1.0)), draw(psi2), draw(st.floats(0.01, 1.0))]
+            for _ in range(k)
+        ]
+    )
+    tau = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+    return base, draws, live, params, tau
+
+
+def reference_loglik_exact(ws, gamma, psi2, sigma, tau) -> float:
+    """loglik_exact of one workspace, step by step on whole arrays (the reference)."""
+    const = math.log(tau * (1.0 - tau)) - math.log(sigma)
+    if psi2 <= PSI2_FLOOR:
+        resid = ws.z - ws.X @ gamma
+        per_unit = const - resid * (tau - (resid < 0)) / sigma
+        return float(ws.weights @ np.add.reduceat(per_unit, ws.starts))
+    J, n = len(ws.labels), ws.n
+    seg_group = np.repeat(np.arange(J), ws.sizes + 1)
+    seg_starts = np.concatenate([[0], np.cumsum(ws.sizes + 1)])[:-1]
+    seg_m = ws.sizes[seg_group]
+    seg_j = np.arange(seg_group.size) - seg_starts[seg_group]
+    row_offset = ws.starts[seg_group]
+    buf = np.empty(n + 2)
+    buf[n:] = (-np.inf, np.inf)
+    if ws.zs is not None:
+        buf[:n] = ws.zs - (ws.Xg @ gamma)[ws.g_sorted]
+    else:
+        resid = ws.z - ws.X @ gamma
+        buf[:n] = resid[np.lexsort((resid, ws.g_sorted))]
+    s = buf[:n]
+    cs0 = np.concatenate([[0.0], np.add.accumulate(s)])
+    group_tot = np.add.reduceat(s, ws.starts)
+    prefix = cs0[row_offset + seg_j] - cs0[row_offset]
+    c = tau * (group_tot[seg_group] - prefix) - (1.0 - tau) * prefix
+    a = -(seg_j - tau * seg_m) / sigma
+    b = c / -sigma
+    psi = math.sqrt(psi2)
+    lo_idx = np.where(seg_j == 0, n, row_offset + seg_j - 1)
+    hi_idx = np.where(seg_j == seg_m, n + 1, row_offset + seg_j)
+    alpha = (buf[lo_idx] - a * psi2) / psi
+    beta = (buf[hi_idx] - a * psi2) / psi
+    flip = alpha > 0.0
+    la = log_ndtr(np.where(flip, -beta, alpha))
+    lb = log_ndtr(np.where(flip, -alpha, beta))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ldiff = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
+    terms = b + 0.5 * a * a * psi2 + ldiff
+    terms = np.where(np.isfinite(terms), terms, -np.inf)
+    mx = np.maximum.reduceat(terms, seg_starts)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    logint = mx + np.log(np.add.reduceat(np.exp(terms - mx[seg_group]), seg_starts))
+    return float(ws.weights @ (ws.sizes * const + logint))
+
+
+class TestBatchedLoglik:
+    """The batched kernel returns each replicate's loglik_exact, bit for bit.
+
+    The reference evaluates one replicate at a time with whole-array
+    numpy expressions; the kernel evaluates several replicates at once in
+    work buffers, and the same kernel with one replicate is loglik_exact.
+    """
+
+    def check(self, base, draws, live, params, tau):
+        replicates = [base.gather(*draw) for draw in draws]
+        for ws in replicates:
+            ws.normalize_weights()
+        default = qm._CHUNK
+        # Runs of pieces as long as the batch, and of at most 5 pieces (a
+        # group of 5 rows or more then takes a run of its own).
+        for chunk in (default, 5):
+            qm._CHUNK = chunk
+            try:
+                batch = _Batch(base, np.array([picked for _, picked in draws]), tau)
+                # A subset of the replicates, then all of them: the layout follows.
+                for idx in (live, np.arange(len(draws))):
+                    gamma, psi2, sigma = params[idx, :2], params[idx, 2], params[idx, 3]
+                    got = batch.loglik_exact(idx, gamma, psi2, sigma)
+                    for value, i, g, p, s in zip(got.tolist(), idx, gamma, psi2, sigma):
+                        want = reference_loglik_exact(replicates[i], g, p, s, tau)
+                        assert value == want
+                        assert replicates[i].loglik_exact(g, p, s, tau) == want
+            finally:
+                qm._CHUNK = default
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(replicate_batches(two_cell=False))
+    def test_one_design_row_per_group(self, case):
+        assert case[0].zs is not None  # the presorted path
+        self.check(*case)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(replicate_batches(two_cell=True))
+    def test_two_cell_design(self, case):
+        assert case[0].zs is None  # the sorting path
+        self.check(*case)
