@@ -16,6 +16,16 @@ from .errors import ValidationError
 from .serialize import to_json_text
 
 
+# The fewest units the fixture's sample allocation fits: 12 in the
+# saturated province and 2 in each of the other 108 sampled provinces.
+MIN_SIMULATED_UNITS = 228
+
+
+def _is_int(value) -> bool:
+    """An int (bool excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
     """A finite int or float (bool excluded)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -81,30 +91,40 @@ class PipelineConfig:
             raise ValidationError("em.tol must be a finite number > 0")
         if not (_is_number(self.em.ridge) and self.em.ridge >= 0):
             raise ValidationError("em.ridge must be a finite number >= 0")
-        for name, seed in (
-            ("ebp.seed", self.ebp.seed),
-            ("lqmm.seed", self.lqmm.seed),
-            ("simulate.seed", self.simulate.seed),
+        kinds = {int: "an explicit integer", bool: "true or false", str: "a string"}
+        for name, value, kind in (
+            ("ebp.seed", self.ebp.seed, int),
+            ("lqmm.seed", self.lqmm.seed, int),
+            ("simulate.seed", self.simulate.seed, int),
+            ("flags.reml", self.flags.reml, bool),
+            ("flags.weighted_summaries", self.flags.weighted_summaries, bool),
+            ("ebp.rescale_estimates", self.ebp.rescale_estimates, bool),
+            ("survey_path", self.survey_path, str),
+            ("province_path", self.province_path, str),
+            ("frame_path", self.frame_path, str),
+            ("output_dir", self.output_dir, str),
         ):
-            if not isinstance(seed, int):
-                raise ValidationError(f"{name} must be an explicit integer")
+            if not (_is_int(value) if kind is int else isinstance(value, kind)):
+                raise ValidationError(f"{name} must be {kinds[kind]}")
         if self.flags.quantile_base not in ("rates", "counts"):
             raise ValidationError("flags.quantile_base must be 'rates' or 'counts'")
         if self.ebp.statistic not in ("median", "mean") and not (
             isinstance(self.ebp.statistic, float) and 0 < self.ebp.statistic < 1
         ):
             raise ValidationError("ebp.statistic must be 'median', 'mean' or a quantile level")
-        if not isinstance(self.quadrature_order, int) or not 1 <= self.quadrature_order <= 200:
+        if not _is_int(self.quadrature_order) or not 1 <= self.quadrature_order <= 200:
             raise ValidationError("quadrature_order must be an integer in [1, 200]")
-        # Counts and their floors (those of bootstrap_fits and ebp_indicator
-        # among them), checked here so a stage fails before any model fit runs.
+        # Counts and their floors (those of bootstrap_fits, ebp_indicator and
+        # generate_fixture among them), checked here so a stage fails before
+        # any model fit runs.
         for name, count, low in (
             ("lqmm.bootstrap_B", self.lqmm.bootstrap_B, 50),
             ("ebp.B", self.ebp.B, 1),
             ("em.max_iter", self.em.max_iter, 1),
             ("lqmm.restarts", self.lqmm.restarts, 1),
+            ("simulate.n_units", self.simulate.n_units, MIN_SIMULATED_UNITS),
         ):
-            if not isinstance(count, int) or isinstance(count, bool) or count < low:
+            if not _is_int(count) or count < low:
                 raise ValidationError(f"{name} must be an integer >= {low}")
         return self
 

@@ -13,9 +13,10 @@ but converges only slowly on the kinked integrand.
 Maximization is derivative-free local search (the likelihood has kinks
 in gamma, so Newton-type methods are unreliable); confidence intervals
 come from a nonparametric cluster bootstrap that resamples whole groups.
-The bootstrap refits run in lockstep: one Nelder-Mead step per replicate
-per round and one likelihood evaluation for all of them, with each
-replicate's numbers exactly those of a refit on its own.
+Every fit runs through one lockstep Nelder-Mead path: a base fit's
+restarts, like the bootstrap's refits, step together with one batched
+likelihood evaluation per round (and one more for their final values),
+each exactly as scipy's Nelder-Mead would run it alone.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401 -- nothing calls it; perfbench/tracing.py patches this name
 from scipy.special import log_ndtr
 
 from .errors import NumericalError, ValidationError
-from .optimize import golden_max, nelder_mead_batch
+from .optimize import BatchMinimum, golden_max, nelder_mead_batch
 from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation
 
 PSI2_FLOOR = 1e-10
@@ -438,7 +439,6 @@ class _Workspace:
         # sorted within each group (zs); None when a group mixes rows.
         self.zs = zs
         self.Xg = None if zs is None else X[self.starts]
-        self._exact = None  # layout and buffers, built on first use
 
     def group_rows(self, picked: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Row indices of the picked groups' blocks laid end to end, and each block's start."""
@@ -471,12 +471,12 @@ class _Workspace:
         """Weighted log-likelihood with the intercept integrated out exactly."""
         if psi2 <= PSI2_FLOOR:
             return _point_mass_loglik(self.z, self.X, self.starts, self.weights, gamma, sigma, tau)
-        if self._exact is None or self._exact[0].tau != tau:
-            picks = np.arange(len(self.labels))[None]
-            work = _storage(self, picks)
-            self._exact = _layout(self, picks, tau, work), work
+        picks = np.arange(len(self.labels))[None]
+        work = _storage(self, picks)
         gamma = np.asarray(gamma, dtype=float)[None]
-        out = _exact_loglik(*self._exact, gamma, np.array([psi2]), np.array([sigma]), self.weights[None])
+        out = _exact_loglik(
+            _layout(self, picks, tau, work), work, gamma, np.array([psi2]), np.array([sigma]), self.weights[None]
+        )
         return float(out[0])
 
     def loglik_quadrature(self, gamma, psi2, sigma, tau, rule: HermiteRule) -> float:
@@ -493,13 +493,14 @@ class _Workspace:
 
 
 class _Batch:
-    """loglik_exact of many bootstrap replicates at once, one value each.
+    """loglik_exact of many resamples of a workspace at once, one value each.
 
-    Replicate i is ws.gather(..., picks[i]) with normalized weights. The
-    running replicates are laid end to end in one _layout, rebuilt when
+    Resample i is ws.gather(..., picks[i]) with normalized weights: a
+    bootstrap replicate, or ws itself for each restart of a base fit. The
+    running resamples are laid end to end in one _layout, rebuilt when
     that set changes, and evaluated by one _exact_loglik call; those at
     the point-mass floor of psi2 take the scalar branch one at a time.
-    Each value is bit-identical to that replicate's own loglik_exact.
+    Each value is bit-identical to that resample's own loglik_exact.
     """
 
     def __init__(self, ws: _Workspace, picks: np.ndarray, tau: float):
@@ -508,17 +509,22 @@ class _Batch:
         self._work = _storage(ws, picks)  # large enough for any subset
         self._layout = _layout(ws, picks, tau, self._work)
         self._key = np.arange(len(picks)).tobytes()
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def rows(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Resample r's responses, design rows and group starts (gathered once)."""
+        if r not in self._rows:
+            rows, starts = self.ws.group_rows(self.picks[r])
+            self._rows[r] = self.ws.z[rows], self.ws.X[rows], starts
+        return self._rows[r]
 
     def loglik_exact(self, idx, gamma, psi2, sigma) -> np.ndarray:
-        """Replicate idx[i]'s loglik_exact(gamma[i], psi2[i], sigma[i], tau) for each i."""
+        """Resample idx[i]'s loglik_exact(gamma[i], psi2[i], sigma[i], tau) for each i."""
         out = np.empty(idx.size)
         low = psi2 <= PSI2_FLOOR
         for i in np.flatnonzero(low):
             r = idx[i]
-            rows, starts = self.ws.group_rows(self.picks[r])
-            out[i] = _point_mass_loglik(
-                self.ws.z[rows], self.ws.X[rows], starts, self.weights[r], gamma[i], sigma[i], self.tau
-            )
+            out[i] = _point_mass_loglik(*self.rows(r), self.weights[r], gamma[i], sigma[i], self.tau)
         if not low.all():
             high = idx[~low]
             key = high.tobytes()
@@ -610,17 +616,17 @@ def _start_values(ws: _Workspace, tau: float, row_weights: np.ndarray) -> tuple[
     return gamma, psi2, sigma
 
 
-def _conditional_modes(ws: _Workspace, gamma, psi2, sigma, tau) -> np.ndarray:
-    """Posterior mode of each group intercept under ALD likelihood x normal prior."""
-    J = len(ws.labels)
+def _conditional_modes(z, X, starts, gamma, psi2, sigma, tau) -> np.ndarray:
+    """Posterior mode of each group intercept (rows from starts[j]) under ALD likelihood x normal prior."""
+    J = len(starts)
     if psi2 <= PSI2_FLOOR:
         return np.zeros(J)
-    resid = ws.z - ws.X @ gamma
+    resid = z - X @ gamma
     psi = math.sqrt(psi2)
-    ends = np.append(ws.starts[1:], ws.n)
+    ends = np.append(starts[1:], len(z))
     modes = np.empty(J)
     for j in range(J):
-        r = resid[ws.starts[j] : ends[j]]
+        r = resid[starts[j] : ends[j]]
         qj = _weighted_quantile(r, np.ones(r.size), tau)
 
         def logpost(u):
@@ -648,36 +654,64 @@ def _theta(gamma, psi2: float, sigma: float, estimate_psi: bool) -> np.ndarray:
     )
 
 
-def _finish_fit(
-    ws: _Workspace, tau: float, theta, converged: bool, fix_psi2: float | None, compute_modes: bool
-) -> QuantileMixedFit:
-    """The fit at the optimizer's theta: modes, recentring and the final loglik."""
-    gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
-    gamma = np.asarray(gamma, dtype=float).copy()
-    if compute_modes:
-        modes = _conditional_modes(ws, gamma, psi2, sigma, tau)
-        # Recentre: move the weighted mean of the modes into gamma when the
-        # design spans the constant vector.
-        wbar = float(ws.weights @ modes) / float(ws.weights.sum())
-        if wbar != 0.0:
-            c, residual, *_ = np.linalg.lstsq(ws.X, np.ones(ws.n), rcond=None)
-            if np.max(np.abs(ws.X @ c - 1.0)) < 1e-8:
-                gamma = gamma + wbar * c
-                modes = modes - wbar
-    else:
-        modes = np.zeros(len(ws.labels))
+def _fit_lockstep(
+    ws: _Workspace, picks: np.ndarray, tau: float, thetas0: np.ndarray, fix_psi2: float | None,
+    xatol: float, fatol: float, max_fev: int,
+) -> tuple[_Batch, BatchMinimum]:
+    """Minimize the negative loglik of each resample picks[i] of ws from thetas0[i], in lockstep.
 
-    loglik = ws.loglik_exact(gamma, psi2, sigma, tau)
-    return QuantileMixedFit(
-        tau=tau,
-        gamma=gamma,
-        psi2=float(psi2),
-        sigma=float(sigma),
-        u={g: float(m) for g, m in zip(ws.labels, modes)},
-        loglik=float(loglik),
-        converged=bool(converged),
-        column_names=ws.column_names,
-    )
+    Each run follows the path scipy's Nelder-Mead takes on it alone (see
+    nelder_mead_batch), and each round evaluates every running resample
+    in one batched likelihood call. Returns the batch, which the final
+    log-likelihoods reuse, and the optimizer's results.
+    """
+    batch = _Batch(ws, picks, tau)
+
+    def negloglik(idx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        params = np.array([_unpack(theta, ws.P, fix_psi2)[1:] for theta in thetas.tolist()], dtype=float)
+        return -batch.loglik_exact(idx, thetas[:, : ws.P], params[:, 0], params[:, 1])
+
+    res = nelder_mead_batch(negloglik, thetas0, xatol=xatol, fatol=fatol, maxiter=max_fev, maxfev=max_fev)
+    return batch, res
+
+
+def _finish_fits(
+    batch: _Batch, thetas, converged, labels, fix_psi2: float | None, compute_modes: bool
+) -> list[QuantileMixedFit]:
+    """The fit of resample i of batch at the optimizer's thetas[i], for each i.
+
+    Modes and recentring come one resample at a time; the final
+    log-likelihoods of all of them are one batched call.
+    """
+    ws, tau = batch.ws, batch.tau
+    params, modes = [], []
+    for i, theta in enumerate(thetas):
+        gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
+        gamma = np.array(gamma, dtype=float)
+        u = np.zeros(batch.picks.shape[1])
+        if compute_modes:
+            z, X, starts = batch.rows(i)
+            u = _conditional_modes(z, X, starts, gamma, psi2, sigma, tau)
+            # Recentre: move the weighted mean of the modes into gamma when the
+            # design spans the constant vector.
+            wbar = float(batch.weights[i] @ u) / float(batch.weights[i].sum())
+            if wbar != 0.0:
+                c, *_ = np.linalg.lstsq(X, np.ones(z.size), rcond=None)
+                if np.max(np.abs(X @ c - 1.0)) < 1e-8:
+                    gamma = gamma + wbar * c
+                    u = u - wbar
+        params.append((gamma, psi2, sigma))
+        modes.append(u)
+    gammas, psi2s, sigmas = zip(*params)
+    psi2s, sigmas = np.array(psi2s, dtype=float), np.array(sigmas)
+    logliks = batch.loglik_exact(np.arange(len(params)), np.array(gammas), psi2s, sigmas)
+    return [
+        QuantileMixedFit(
+            tau=tau, gamma=gamma, psi2=float(psi2), sigma=float(sigma), u={g: float(m) for g, m in zip(names, u)},
+            loglik=float(loglik), converged=bool(ok), column_names=ws.column_names,
+        )
+        for gamma, psi2, sigma, u, names, loglik, ok in zip(gammas, psi2s, sigmas, modes, labels, logliks, converged)
+    ]
 
 
 def fit_lqmm(
@@ -686,23 +720,21 @@ def fit_lqmm(
     *,
     restarts: int = 5,
     fix_psi2: float | None = None,
-    xatol: float = 1e-6,
-    fatol: float = 1e-9,
-    max_fev: int | None = None,
-    start: tuple[np.ndarray, float, float] | None = None,
     compute_modes: bool = True,
 ) -> QuantileMixedFit:
     """Maximize the weighted ALD mixed likelihood at one quantile level.
 
-    Optimizes (gamma, log sigma, log psi2) by Nelder-Mead from the
+    Optimizes (gamma, log sigma, log psi2) by Nelder-Mead (xatol 1e-6,
+    fatol 1e-9, at most 400 evaluations per parameter) from the
     documented start plus jittered restarts (deterministic jitter),
-    evaluating the likelihood with the exact segment integration.
-    fix_psi2 pins the random-intercept variance instead of estimating it
-    (fix_psi2=0 gives the fixed-quantile collapse). Conditional group
-    modes are found afterwards by golden-section search and recentred:
-    when the constant vector lies in the design's column space, the
-    weighted mean of the modes is moved into gamma, so conditional
-    predictions are unchanged and the modes average to zero.
+    evaluating the likelihood with the exact segment integration. The
+    restarts run in lockstep and the first with the lowest objective
+    wins. fix_psi2 pins the random-intercept variance instead of
+    estimating it (fix_psi2=0 gives the fixed-quantile collapse).
+    Conditional group modes are found afterwards by golden-section search
+    and recentred: when the constant vector lies in the design's column
+    space, the weighted mean of the modes is moved into gamma, so
+    conditional predictions are unchanged and the modes average to zero.
 
     Group weights are normalized to sum to the number of groups before
     optimizing; the reported loglik is on that normalized scale.
@@ -720,49 +752,23 @@ def fit_lqmm(
         raise ValidationError("estimating psi2 needs at least two groups (or pass fix_psi2)")
     if ws.n == 0 or ws.z.min() == ws.z.max():
         raise ValidationError("responses are constant: the model is not identified")
-    ws.normalize_weights()
-    row_weights = ws.weights[ws.g_sorted]
-
-    if start is None:
-        gamma0, psi2_0, sigma0 = _start_values(ws, tau, row_weights)
-    else:
-        gamma0, psi2_0, sigma0 = start
-        gamma0 = np.asarray(gamma0, dtype=float)
+    gamma0, psi2_0, sigma0 = _start_values(ws, tau, _normalized(ws.weights)[ws.g_sorted])
     estimate_psi = fix_psi2 is None
     if not estimate_psi and fix_psi2 < 0:
         raise ValidationError("fix_psi2 must be nonnegative")
 
-    def negloglik(theta):
-        gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
-        return -ws.loglik_exact(gamma, psi2, sigma, tau)
-
     base = _theta(gamma0, psi2_0, sigma0, estimate_psi)
-    if max_fev is None:
-        max_fev = 400 * base.size
-
-    best = None
+    thetas0 = np.tile(base, (restarts, 1))
     jitter_rng = np.random.default_rng(1729)
-    for attempt in range(restarts):
-        theta0 = base.copy()
-        if attempt > 0:
-            theta0[: ws.P] += jitter_rng.normal(0.0, 0.05, size=ws.P)
-            theta0[ws.P] += jitter_rng.normal(0.0, 0.2)
-            if estimate_psi:
-                theta0[ws.P + 1] += jitter_rng.normal(0.0, 0.4)
-        res = minimize(
-            negloglik,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "xatol": xatol,
-                "fatol": fatol,
-                "maxiter": max_fev,
-                "maxfev": max_fev,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return _finish_fit(ws, tau, best.x, best.success, fix_psi2, compute_modes)
+    for theta0 in thetas0[1:]:
+        theta0[: ws.P] += jitter_rng.normal(0.0, 0.05, size=ws.P)
+        theta0[ws.P] += jitter_rng.normal(0.0, 0.2)
+        if estimate_psi:
+            theta0[ws.P + 1] += jitter_rng.normal(0.0, 0.4)
+    picks = np.tile(np.arange(len(ws.labels)), (restarts, 1))  # every restart fits ws itself
+    batch, res = _fit_lockstep(ws, picks, tau, thetas0, fix_psi2, 1e-6, 1e-9, 400 * base.size)
+    best = min(range(restarts), key=res.fun.__getitem__)  # the first of the lowest
+    return _finish_fits(batch, res.x[[best]], res.success[[best]], [ws.labels], fix_psi2, compute_modes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -876,38 +882,6 @@ def _pick_groups(ws: _Workspace, rng: np.random.Generator) -> tuple[list[str], n
     return [names[k] for k in order], picks[order]
 
 
-def _refit_lockstep(
-    ws: _Workspace,
-    draws: list[tuple[list[str], np.ndarray]],
-    tau: float,
-    theta0: np.ndarray,
-    max_fev: int,
-    compute_modes: bool,
-) -> list[QuantileMixedFit]:
-    """Refit each resample (labels, picked groups) of ws from theta0, in lockstep.
-
-    Each replicate follows the path scipy's Nelder-Mead takes on it alone
-    (see nelder_mead_batch), and each round evaluates every running
-    replicate in one batched likelihood call.
-    """
-    batch = _Batch(ws, np.array([picked for _, picked in draws]), tau)
-
-    def negloglik(idx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        params = np.array([_unpack(theta, ws.P, None)[1:] for theta in thetas.tolist()])
-        return -batch.loglik_exact(idx, thetas[:, : ws.P], params[:, 0], params[:, 1])
-
-    # Percentile intervals tolerate coarser optima than the base fit.
-    res = nelder_mead_batch(
-        negloglik, np.tile(theta0, (len(draws), 1)), xatol=1e-5, fatol=1e-8, maxiter=max_fev, maxfev=max_fev
-    )
-    fits = []
-    for i, (labels, picked) in enumerate(draws):
-        rep = ws.gather(labels, picked)
-        rep.normalize_weights()
-        fits.append(_finish_fit(rep, tau, res.x[i], res.success[i], None, compute_modes))
-    return fits
-
-
 def bootstrap_fits(
     data: GroupedData,
     tau: float,
@@ -938,18 +912,19 @@ def bootstrap_fits(
         max_fev = 200 * (data.X.shape[1] + 2)
 
     ws = _Workspace(data)
+    draws = [_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(B)]
+    segments = np.array([ws.sizes[picked].sum() + picked.size for _, picked in draws])
     fits: list[QuantileMixedFit] = []
-    draws: list[tuple[list[str], np.ndarray]] = []
-    segments = 0
-    for b in range(B):
-        labels, picked = _pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b))))
-        size = int(ws.sizes[picked].sum()) + len(labels)
-        if draws and segments + size > BATCH_SEGMENTS:
-            fits += _refit_lockstep(ws, draws, tau, theta0, max_fev, group_effects)
-            draws, segments = [], 0
-        draws.append((labels, picked))
-        segments += size
-    fits += _refit_lockstep(ws, draws, tau, theta0, max_fev, group_effects)
+    start = 0
+    while start < B:
+        # Each batch takes the most draws that fit in BATCH_SEGMENTS likelihood segments, and at least one.
+        stop = start + max(1, int(np.searchsorted(np.cumsum(segments[start:]), BATCH_SEGMENTS, side="right")))
+        labels, picks = zip(*draws[start:stop])
+        # Percentile intervals tolerate coarser optima than the base fit.
+        thetas0 = np.tile(theta0, (stop - start, 1))
+        batch, res = _fit_lockstep(ws, np.array(picks), tau, thetas0, None, 1e-5, 1e-8, max_fev)
+        fits += _finish_fits(batch, res.x, res.success, labels, None, group_effects)
+        start = stop
 
     kept = [fit for fit in fits if fit.converged]
     n_dropped = B - len(kept)

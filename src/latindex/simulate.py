@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimulateSettings
+from .errors import ValidationError
 from .features import RAW_ITEMS, SurveyDataset, save_survey
 from .serialize import write_delimited
 
@@ -84,7 +85,7 @@ def generate_fixture(settings: SimulateSettings) -> Fixture:
     alloc[saturated] = 12
     remaining = n - sum(alloc.values())
     if remaining < 0:
-        raise ValueError("n_units too small for the province layout")
+        raise ValidationError(f"simulate.n_units must be at least {n - remaining} for the province layout")
     probs = rng.dirichlet(np.ones(len(sampled_provinces) - 1) * 2.0)
     extra = rng.multinomial(remaining, probs)
     for p, e in zip(sampled_provinces[1:], extra):

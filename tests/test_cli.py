@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from latindex import cli
-from latindex.config import load_config
+from latindex.config import MIN_SIMULATED_UNITS, SimulateSettings, load_config
+from latindex.errors import ValidationError
 from latindex.serialize import read_delimited
+from latindex.simulate import generate_fixture
 
 
 @pytest.fixture
@@ -58,6 +60,15 @@ class TestShowConfig:
             '{"lqmm": {"taus": []}}',
             '{"lqmm": {"restarts": 0}}',
             '{"em": {"max_iter": 0}}',
+            '{"simulate": {"n_units": 100}}',
+            '{"simulate": {"n_units": "x"}}',
+            '{"simulate": {"n_units": 1.5e3}}',
+            '{"quadrature_order": true}',
+            '{"lqmm": {"seed": true}}',
+            '{"flags": {"reml": "no"}}',
+            '{"flags": {"weighted_summaries": 1}}',
+            '{"ebp": {"rescale_estimates": null}}',
+            '{"output_dir": 5}',
         ],
         ids=[
             "truncated-json",
@@ -69,6 +80,15 @@ class TestShowConfig:
             "empty-taus",
             "restarts-zero",
             "em-max-iter-zero",
+            "n-units-below-floor",
+            "string-n-units",
+            "float-n-units",
+            "bool-quadrature-order",
+            "bool-seed",
+            "string-reml-flag",
+            "int-weighted-summaries-flag",
+            "null-rescale-estimates-flag",
+            "int-output-dir",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, text):
@@ -79,6 +99,11 @@ class TestShowConfig:
 
 
 class TestSimulateAndFeatures:
+    def test_fixture_floor_is_the_config_floor(self):
+        generate_fixture(SimulateSettings(n_units=MIN_SIMULATED_UNITS))
+        with pytest.raises(ValidationError, match=f"at least {MIN_SIMULATED_UNITS}"):
+            generate_fixture(SimulateSettings(n_units=MIN_SIMULATED_UNITS - 1))
+
     def test_simulate_writes_three_files(self, pipeline_config):
         assert run("simulate", pipeline_config) == 0
         cfg = load_config(pipeline_config)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from latindex.quantile_mixed import (
     PSI2_FLOOR,
     GroupedData,
     _Batch,
+    _finish_fits,
+    _fit_lockstep,
     _pick_groups,
-    _refit_lockstep,
     _theta,
     _unpack,
     _Workspace,
@@ -333,6 +335,60 @@ class TestFitLqmm:
                 hits += 1
         assert hits >= 19
 
+    def test_base_fit_matches_scipy_restarts(self):
+        # The restarts run in lockstep; each must take scipy's path, and the
+        # batched final loglik must equal the workspace's own.
+        for two_cell in (False, True):
+            data = ragged_grouped(79, two_cell, J=6)
+            for restarts in (1, 2, 5):
+                for fix_psi2 in (None, 0.0, 0.01):
+                    got = fit_lqmm(data, 0.5, restarts=restarts, fix_psi2=fix_psi2)
+                    want = scipy_fit_lqmm(data, 0.5, restarts, fix_psi2)
+                    assert np.array_equal(got.gamma, want.gamma)
+                    assert (got.psi2, got.sigma, got.loglik) == (want.psi2, want.sigma, want.loglik)
+                    assert got.u == want.u and got.converged == want.converged
+
+
+def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> SimpleNamespace:
+    """fit_lqmm with scipy's Nelder-Mead run on one restart at a time (the reference)."""
+    ws = _Workspace(data)
+    ws.normalize_weights()
+    gamma0, psi2_0, sigma0 = qm._start_values(ws, tau, ws.weights[ws.g_sorted])
+    estimate_psi = fix_psi2 is None
+    base = _theta(gamma0, psi2_0, sigma0, estimate_psi)
+
+    def negloglik(theta):
+        gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
+        return -ws.loglik_exact(gamma, psi2, sigma, tau)
+
+    best = None
+    jitter_rng = np.random.default_rng(1729)
+    for attempt in range(restarts):
+        theta0 = base.copy()
+        if attempt > 0:
+            theta0[: ws.P] += jitter_rng.normal(0.0, 0.05, size=ws.P)
+            theta0[ws.P] += jitter_rng.normal(0.0, 0.2)
+            if estimate_psi:
+                theta0[ws.P + 1] += jitter_rng.normal(0.0, 0.4)
+        budget = 400 * base.size
+        res = minimize(
+            negloglik, theta0, method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": budget, "maxfev": budget},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    gamma, psi2, sigma = _unpack(best.x, ws.P, fix_psi2)
+    modes = qm._conditional_modes(ws.z, ws.X, ws.starts, gamma, psi2, sigma, tau)
+    wbar = float(ws.weights @ modes) / float(ws.weights.sum())
+    if wbar != 0.0:
+        c, *_ = np.linalg.lstsq(ws.X, np.ones(ws.n), rcond=None)
+        if np.max(np.abs(ws.X @ c - 1.0)) < 1e-8:
+            gamma, modes = gamma + wbar * c, modes - wbar
+    return SimpleNamespace(
+        gamma=gamma, psi2=float(psi2), sigma=float(sigma), loglik=ws.loglik_exact(gamma, psi2, sigma, tau),
+        u={g: float(m) for g, m in zip(ws.labels, modes)}, converged=bool(best.success),
+    )
+
 
 class TestPredictions:
     def fixture_fit(self, rng=None):
@@ -403,14 +459,14 @@ class TestBootstrap:
 
     def test_batch_size_does_not_change_results(self, monkeypatch):
         # Lockstep batches of one replicate, of about seven, and of all B.
-        sizes = []
-        refit = qm._refit_lockstep
+        sizes = [[]]  # fit_lqmm's own lockstep calls land in the list before each run's
+        refit = qm._fit_lockstep
 
-        def spy(ws, draws, *args):
-            sizes[-1].append(len(draws))
-            return refit(ws, draws, *args)
+        def spy(ws, picks, *args):
+            sizes[-1].append(len(picks))
+            return refit(ws, picks, *args)
 
-        monkeypatch.setattr(qm, "_refit_lockstep", spy)
+        monkeypatch.setattr(qm, "_fit_lockstep", spy)
         for two_cell in (False, True):
             data = ragged_grouped(71, two_cell)
             fit = fit_lqmm(data, 0.5, restarts=1)
@@ -441,7 +497,7 @@ class TestBootstrap:
         theta0 = _theta(fit.gamma, fit.psi2, fit.sigma, True)
         base = _Workspace(data)
         draws = resamples(base, 3, 12)
-        got = _refit_lockstep(base, draws, 0.5, theta0, 300, True)
+        got = lockstep_refits(base, draws, theta0, 300, True)
         for draw, lockstep in zip(draws, got):
             ws = base.gather(*draw)
             ws.normalize_weights()
@@ -454,7 +510,7 @@ class TestBootstrap:
                 negloglik, theta0, method="Nelder-Mead",
                 options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 300, "maxfev": 300},
             )
-            alone = qm._finish_fit(ws, 0.5, res.x, res.success, None, True)
+            alone = _finish_fits(_Batch(base, draw[1][None], 0.5), res.x[None], [res.success], [draw[0]], None, True)[0]
             assert np.array_equal(alone.gamma, lockstep.gamma)
             assert (alone.psi2, alone.sigma, alone.loglik) == (lockstep.psi2, lockstep.sigma, lockstep.loglik)
             assert alone.u == lockstep.u and alone.converged == lockstep.converged
@@ -549,8 +605,15 @@ class TestResampleGroups:
         data = self.uneven(0, two_cell=True)
         ws = _Workspace(data)
         before = ws.weights.copy()
-        _refit_lockstep(ws, resamples(ws, 1, 3), 0.5, np.array([0.4, 0.6, math.log(0.1), math.log(0.01)]), 200, False)
+        lockstep_refits(ws, resamples(ws, 1, 3), np.array([0.4, 0.6, math.log(0.1), math.log(0.01)]), 200, False)
         np.testing.assert_array_equal(ws.weights, before)
+
+
+def lockstep_refits(ws, draws, theta0, max_fev, compute_modes):
+    """The bootstrap's refits at tau 0.5 of the resamples draws of ws, all from theta0."""
+    picks = np.array([picked for _, picked in draws])
+    batch, res = _fit_lockstep(ws, picks, 0.5, np.tile(theta0, (len(draws), 1)), None, 1e-5, 1e-8, max_fev)
+    return _finish_fits(batch, res.x, res.success, [labels for labels, _ in draws], None, compute_modes)
 
 
 def resamples(ws, seed, k):
