@@ -34,6 +34,10 @@ from .optimize import BatchMinimum, golden_max, nelder_mead_batch
 from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation
 
 PSI2_FLOOR = 1e-10
+# The smallest psi2 a fit starts from. Bootstrap refits started from a base
+# fit's psi2 near PSI2_FLOOR, where the likelihood is flat in log psi2,
+# often run out of evaluations (61 of 200 in one criterion-10 replicate).
+PSI2_START = 1e-4
 SIGMA_FLOOR = 1e-8
 # Bootstrap replicates are refitted in lockstep batches of at most this
 # many likelihood segments (at least one replicate each), which bounds
@@ -234,9 +238,9 @@ def _storage(ws: "_Workspace", picks: np.ndarray) -> SimpleNamespace:
         p=np.empty(S, dtype=np.intp),
         neg_d=np.empty(S),
         z=np.empty(T),
-        row_group=np.empty(T, dtype=np.intp),
+        src=np.empty(T, dtype=np.intp),
+        xrow=np.empty(T, dtype=np.intp),
         row_pad=np.empty(T, dtype=np.intp),
-        X=np.zeros(0 if ws.zs is not None else m * n_max * ws.P),
         rows=np.empty(T + 1),
         cs0=np.empty(m * (n_max + 1)),
         padded=np.zeros(m * n_max),
@@ -248,18 +252,22 @@ def _storage(ws: "_Workspace", picks: np.ndarray) -> SimpleNamespace:
 def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace) -> SimpleNamespace:
     """The exact likelihood's index arrays for m resamples of ws's groups, written into st.
 
-    Resample i is ws.gather(..., picks[i]): the groups picks[i] of ws, in
-    that order. Its rows follow resample i - 1's, and group j contributes
-    n_j + 1 pieces of the piecewise-exponential integrand, in row order.
-    lo indexes the group-major sorted residuals, whose slot T holds -inf;
-    a piece's upper end is the next piece's lower end, except that each
+    Resample i is the groups picks[i] of ws, in that order. Its rows
+    follow resample i - 1's and hold ws.zs; xrow indexes each row's
+    design row in resample i's block of x' gamma values, and blocks holds,
+    per group size, the (k, n) row slots of the k mixed groups of that
+    size, whose residuals the kernel sorts. Group j contributes n_j + 1
+    pieces of the piecewise-exponential integrand, in row order. lo
+    indexes the group-major sorted residuals, whose slot T holds -inf; a
+    piece's upper end is the next piece's lower end, except that each
     group's last piece ends at +inf. Row i of the padded (m, n_max + 1)
     array cs0 holds 0.0 and then resample i's running sums of its sorted
     residuals, so the sum of the j smallest residuals of a group is
     cs0[p] - cs0[group_b]: exactly 0.0 on first pieces. chunks cut the
     pieces at group boundaries into runs of at most _CHUNK (or one
-    group's). The arrays are views of st, so rebuilding the layout for
-    another set of resamples allocates nothing of the size of the pieces.
+    group's). The piece arrays are views of st, so rebuilding the layout
+    for another set of resamples allocates nothing of the size of the
+    pieces; blocks, like chunks, is built anew with each layout.
     """
     m, J = picks.shape
     flat = picks.ravel()
@@ -268,13 +276,12 @@ def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace
     n = sizes.reshape(m, J).sum(axis=1)
     T, n_max = int(n.sum()), int(n.max())
     S = T + G
-    rows, starts = ws.group_rows(flat, st.row_group[:T])
+    src, starts = ws.group_rows(flat, st.src[:T])
     seg_starts = np.cumsum(sizes + 1) - (sizes + 1)
     row0 = np.cumsum(n) - n
     shift = np.repeat(np.arange(m) * (n_max + 1) - row0, J)  # global row -> cs0 column, per group
-    groups = np.arange(G)
 
-    sg = _ramp(st.sg[:S], seg_starts, groups, 0)  # each piece's group
+    sg = _ramp(st.sg[:S], seg_starts, np.arange(G), 0)  # each piece's group
     lo = _ramp(st.lo[:S], seg_starts, np.zeros(G, dtype=np.intp), 1)  # piece index in its group
     p = sizes.take(sg, out=st.p[:S])
     neg_d = np.multiply(p, tau, out=st.neg_d[:S])  # minus the slope in u of each piece's check loss
@@ -284,18 +291,17 @@ def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace
     lo -= 1
     lo[seg_starts] = T
 
-    z = (ws.z if ws.zs is None else ws.zs).take(rows, out=st.z[:T])
+    z = ws.zs.take(src, out=st.z[:T])
+    xrow = _ramp(st.xrow[:T], row0, np.arange(m) * len(ws.Xd), 0)  # resample i's x' gamma block
+    xrow += ws.design[src]
     row_pad = None  # each row's slot in a padded (m, n_max) array, when rows are padded
     if T != m * n_max:
         row_pad = _ramp(st.row_pad[:T], row0, np.arange(m) * n_max, 1)
-    if ws.zs is not None:
-        X = ws.Xg[flat].reshape(m, J, ws.P)
-    elif row_pad is None:
-        X = ws.X.take(rows, axis=0, out=st.X[: T * ws.P].reshape(T, ws.P)).reshape(m, n_max, ws.P)
-    else:
-        X = st.X[: m * n_max * ws.P].reshape(m * n_max, ws.P)
-        X[row_pad] = ws.X[rows]
-        X = X.reshape(m, n_max, ws.P)
+    mixed = np.flatnonzero(ws.mixed[flat])
+    blocks = []
+    for k in np.unique(sizes[mixed]):
+        of_size = mixed[sizes[mixed] == k]
+        blocks.append(starts[of_size][:, None] + np.arange(k))
 
     ends = seg_starts + sizes + 1
     chunks, g0 = [], 0
@@ -305,9 +311,9 @@ def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace
         chunks.append((s0, s1, g0, g1, seg_starts[g0:g1] - s0, ends[g0:g1] - 1 - s0))
         g0 = g1
     return SimpleNamespace(
-        m=m, J=J, T=T, n_max=n_max, tau=tau, presorted=ws.zs is not None,
+        m=m, J=J, T=T, n_max=n_max, tau=tau, Xd=ws.Xd,
         starts=starts, sizes=sizes, sg=sg, lo=lo, p=p, group_b=starts + shift, neg_d=neg_d,
-        row_group=_ramp(rows, starts, groups, 0), row_pad=row_pad, z=z, X=X, chunks=chunks,
+        row_pad=row_pad, z=z, xrow=xrow, blocks=blocks, chunks=chunks,
     )
 
 
@@ -319,6 +325,12 @@ def _exact_loglik(L, work, gamma, psi2, sigma, weights) -> np.ndarray:
     check loss is linear in u, so each piece integrates in closed form:
     integral of exp(a u + b) phi(u; 0, psi2) over [lo, hi] equals
     exp(b + a^2 psi2 / 2) * (Phi((hi - a psi2)/psi) - Phi((lo - a psi2)/psi)).
+
+    x' gamma is computed once per distinct design row and resample,
+    elementwise and summing the columns in order, so a row's value depends
+    only on that row and gamma. Residuals z - x' gamma of groups with one
+    design row keep the order of zs; those of mixed groups are sorted one
+    block of equal-sized groups at a time, along each group's row.
 
     Resamples never mix: reductions run over one group's pieces, the
     running sums restart at each resample (a padded (m, n_max) array
@@ -333,14 +345,13 @@ def _exact_loglik(L, work, gamma, psi2, sigma, weights) -> np.ndarray:
     buf = work.rows[: T + 1]
     buf[T] = -np.inf
     s = buf[:T]  # residuals sorted within each group
-    xg = np.matmul(L.X, np.ascontiguousarray(gamma)[:, :, None]).ravel()
+    xd = L.Xd[:, 0] * gamma[:, :1]  # (m, D): x' gamma per distinct design row, column by column
+    for k in range(1, gamma.shape[1]):
+        xd += L.Xd[:, k] * gamma[:, k : k + 1]
     row_tmp = work.cs0[:T]
-    if L.presorted:
-        # One design row per group: z - x_j' gamma keeps the order of z.
-        np.subtract(L.z, xg.take(L.row_group, out=row_tmp), out=s)
-    else:
-        resid = np.subtract(L.z, xg if L.row_pad is None else xg.take(L.row_pad, out=row_tmp), out=row_tmp)
-        resid.take(np.lexsort((resid, L.row_group)), out=s)
+    np.subtract(L.z, xd.ravel().take(L.xrow, out=row_tmp), out=s)
+    for slots in L.blocks:
+        s[slots] = np.sort(s.take(slots), axis=1)
     if L.row_pad is None:
         padded = s
     else:
@@ -408,37 +419,33 @@ class _Workspace:
 
     z, X and g_sorted hold each group's rows in input order, groups in
     label order; the start values, the conditional modes and the psi2 = 0
-    likelihood sum over rows in that order. When every group's rows share
-    one design row x_j, a group's residuals z - x_j' gamma keep the order
-    of its responses for any gamma, so zs holds the responses sorted
-    within each group and loglik_exact needs no sort.
+    likelihood sum over rows in that order. Xd holds the distinct design
+    rows and design each row's index into Xd. A group is mixed when its
+    rows have more than one design row. An unmixed group's residuals
+    z - x_j' gamma keep the order of its responses for any gamma, so zs
+    holds those responses sorted, and the exact likelihood sorts only the
+    mixed groups, whose responses zs keeps in input order (design indexes
+    zs's rows as well as z's).
     """
 
     def __init__(self, data: GroupedData):
-        labels = list(data.labels)
-        codes = {g: i for i, g in enumerate(labels)}
-        g = np.array([codes[x] for x in data.group])
+        self.labels = list(data.labels)
+        codes = {g: i for i, g in enumerate(self.labels)}
+        g = np.array([codes[x] for x in data.group], dtype=np.intp)
         order = np.argsort(g, kind="stable")
-        z, X, g_sorted = data.z[order], data.X[order], g[order]
-        zs = None
-        first = np.searchsorted(g_sorted, np.arange(len(labels)))[g_sorted]
-        if np.array_equal(X, X[first]):
-            zs = z[np.lexsort((z, g_sorted))]
-        weights = np.array([data.group_weights[x] for x in labels])
-        self._setup(labels, z, X, g_sorted, weights, data.column_names, zs)
-
-    def _setup(self, labels, z, X, g_sorted, weights, column_names, zs) -> None:
-        self.labels = labels
-        self.z, self.X, self.g_sorted = z, X, g_sorted
-        self.weights = weights
-        self.column_names = column_names
-        self.n, self.P = X.shape
-        self.starts = np.searchsorted(g_sorted, np.arange(len(labels)))
+        self.z, self.X, self.g_sorted = data.z[order], data.X[order], g[order]
+        self.weights = np.array([data.group_weights[x] for x in self.labels])
+        self.column_names = data.column_names
+        self.n, self.P = self.X.shape
+        self.starts = np.searchsorted(self.g_sorted, np.arange(len(self.labels)))
         self.sizes = np.diff(np.append(self.starts, self.n))
-        # Presorted path: one design row per group (Xg) and responses
-        # sorted within each group (zs); None when a group mixes rows.
-        self.zs = zs
-        self.Xg = None if zs is None else X[self.starts]
+        self.Xd, design = np.unique(self.X, axis=0, return_inverse=True)
+        self.design = design.ravel()
+        first = self.design[self.starts][self.g_sorted]  # the design row each row's group starts with
+        self.mixed = np.zeros(len(self.labels), dtype=bool)
+        self.mixed[self.g_sorted[self.design != first]] = True
+        # A constant key keeps a mixed group's rows in input order (lexsort is stable).
+        self.zs = self.z[np.lexsort((np.where(self.mixed[self.g_sorted], 0.0, self.z), self.g_sorted))]
 
     def group_rows(self, picked: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Row indices of the picked groups' blocks laid end to end, and each block's start."""
@@ -447,25 +454,6 @@ class _Workspace:
         if out is None:
             out = np.empty(int(sizes.sum()), dtype=np.intp)
         return _ramp(out, starts, self.starts[picked], 1), starts
-
-    def gather(self, labels, picked: np.ndarray) -> "_Workspace":
-        """Workspace of the picked groups (repeats allowed), relabelled in order."""
-        rows, _ = self.group_rows(picked)
-        ws = _Workspace.__new__(_Workspace)
-        ws._setup(
-            labels,
-            self.z[rows],
-            self.X[rows],
-            np.repeat(np.arange(len(labels)), self.sizes[picked]),
-            self.weights[picked],
-            self.column_names,
-            None if self.zs is None else self.zs[rows],
-        )
-        return ws
-
-    def normalize_weights(self) -> None:
-        """Scale the group weights to sum to the number of groups."""
-        self.weights = _normalized(self.weights)
 
     def loglik_exact(self, gamma, psi2, sigma, tau) -> float:
         """Weighted log-likelihood with the intercept integrated out exactly."""
@@ -495,7 +483,7 @@ class _Workspace:
 class _Batch:
     """loglik_exact of many resamples of a workspace at once, one value each.
 
-    Resample i is ws.gather(..., picks[i]) with normalized weights: a
+    Resample i is the groups picks[i] of ws with normalized weights: a
     bootstrap replicate, or ws itself for each restart of a base fit. The
     running resamples are laid end to end in one _layout, rebuilt when
     that set changes, and evaluated by one _exact_loglik call; those at
@@ -610,7 +598,7 @@ def _start_values(ws: _Workspace, tau: float, row_weights: np.ndarray) -> tuple[
             for j in range(len(ws.labels))
         ]
     )
-    psi2 = max(float(np.var(group_q)), 1e-4)
+    psi2 = max(float(np.var(group_q)), PSI2_START)
     loss = resid * (tau - (resid < 0))
     sigma = max(float((row_weights * loss).sum() / row_weights.sum()), 1e-3)
     return gamma, psi2, sigma
@@ -907,7 +895,7 @@ def bootstrap_fits(
         raise ValidationError("bootstrap needs B >= 50 replicates")
     if base_fit is None:
         base_fit = fit_lqmm(data, tau)
-    theta0 = _theta(base_fit.gamma, max(base_fit.psi2, PSI2_FLOOR * 10), base_fit.sigma, True)
+    theta0 = _theta(base_fit.gamma, max(base_fit.psi2, PSI2_START), base_fit.sigma, True)
     if max_fev is None:
         max_fev = 200 * (data.X.shape[1] + 2)
 

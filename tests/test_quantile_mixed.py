@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -179,14 +180,35 @@ class TestLqmmLoglik:
         assert quad == pytest.approx(exact, abs=5e-3)
 
 
+def draw_design(draw, design: str, sizes) -> list[list[float]]:
+    """Design rows for groups of these sizes, group by group.
+
+    "covariate": an intercept and a group-level covariate, so no group
+    mixes design rows. "two_cell": cell indicators drawn row by row.
+    "partly_mixed": an intercept and a covariate that varies within group
+    0 and within a random subset of the other groups, and is group-level
+    in the rest. Group 0 mixes in the last two whenever it has two rows.
+    """
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    X = []
+    for j, m in enumerate(sizes):
+        if design == "two_cell":
+            cells = ([True, False] if j == 0 and m > 1 else []) + draw(st.lists(st.booleans(), min_size=m, max_size=m))
+            X += [[0.0, 1.0] if c else [1.0, 0.0] for c in cells[:m]]
+        elif design == "covariate" or (j > 0 and not draw(st.booleans())):
+            X += [[1.0, draw(unit)]] * m
+        else:
+            values = ([0.25, 0.75] if j == 0 else []) + draw(st.lists(unit, min_size=m, max_size=m))
+            X += [[1.0, c] for c in values[:m]]
+    return X
+
+
 @st.composite
-def shuffled_rows(draw, two_cell: bool):
+def shuffled_rows(draw, design: str):
     """Grouped rows, a permutation of them and likelihood parameters.
 
-    Responses come partly from a small set so that ties occur. The
-    single-cell design gives every group one design row (an intercept and
-    a group-level covariate); the two-cell design mixes cell indicators
-    within groups.
+    Responses come partly from a small set so that ties occur; the
+    design is one of draw_design's.
     """
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
     n = sum(sizes)
@@ -194,12 +216,7 @@ def shuffled_rows(draw, two_cell: bool):
     z = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit), min_size=n, max_size=n))
     labels = [f"g{j}" for j in range(len(sizes))]
     group = [g for g, m in zip(labels, sizes) for _ in range(m)]
-    if two_cell:
-        cells = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        X = [[0.0, 1.0] if c else [1.0, 0.0] for c in cells]
-    else:
-        covariate = draw(st.lists(unit, min_size=len(sizes), max_size=len(sizes)))
-        X = [[1.0, covariate[labels.index(g)]] for g in group]
+    X = draw_design(draw, design, sizes)
     weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(sizes), max_size=len(sizes)))
     perm = draw(st.permutations(range(n)))
     params = (
@@ -225,16 +242,23 @@ class TestRowOrderInvariance:
     """The exact likelihood sorts residuals within groups, so row order is moot."""
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(shuffled_rows(two_cell=False))
+    @given(shuffled_rows("covariate"))
     def test_one_design_row_per_group(self, case):
         data, perm, params = case
-        assert _Workspace(data).zs is not None  # the presorted path
+        assert not _Workspace(data).mixed.any()  # no group's residuals are sorted
         assert lqmm_loglik(_permuted(data, perm), *params) == lqmm_loglik(data, *params)
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(shuffled_rows(two_cell=True))
+    @given(shuffled_rows("two_cell"))
     def test_two_cell_design(self, case):
         data, perm, params = case
+        assert lqmm_loglik(_permuted(data, perm), *params) == lqmm_loglik(data, *params)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(shuffled_rows("partly_mixed"))
+    def test_partly_mixed_design(self, case):
+        data, perm, params = case
+        assert _Workspace(data).mixed[0] == (data.group.count("g0") > 1)
         assert lqmm_loglik(_permuted(data, perm), *params) == lqmm_loglik(data, *params)
 
 
@@ -338,8 +362,8 @@ class TestFitLqmm:
     def test_base_fit_matches_scipy_restarts(self):
         # The restarts run in lockstep; each must take scipy's path, and the
         # batched final loglik must equal the workspace's own.
-        for two_cell in (False, True):
-            data = ragged_grouped(79, two_cell, J=6)
+        for design in ("covariate", "two_cell"):
+            data = ragged_grouped(79, design, J=6)
             for restarts in (1, 2, 5):
                 for fix_psi2 in (None, 0.0, 0.01):
                     got = fit_lqmm(data, 0.5, restarts=restarts, fix_psi2=fix_psi2)
@@ -348,11 +372,30 @@ class TestFitLqmm:
                     assert (got.psi2, got.sigma, got.loglik) == (want.psi2, want.sigma, want.loglik)
                     assert got.u == want.u and got.converged == want.converged
 
+    def test_first_of_equal_restart_minima_wins(self, monkeypatch):
+        # Restarts 1 and 2 tie on the lowest objective, above restart 0's
+        # path: restart 1 must win.
+        runs = []
+        fit_lockstep = qm._fit_lockstep
+
+        def tied(*args):
+            batch, res = fit_lockstep(*args)
+            runs.append(res)
+            return batch, dataclasses.replace(res, fun=np.array([1.0, 0.0, 0.0]))
+
+        monkeypatch.setattr(qm, "_fit_lockstep", tied)
+        data = ragged_grouped(79, "covariate", J=6)
+        fit = fit_lqmm(data, 0.5, restarts=3, compute_modes=False)
+        x = runs[0].x
+        assert not np.array_equal(x[1], x[2])
+        gamma, psi2, sigma = _unpack(x[1], 2, None)
+        assert np.array_equal(fit.gamma, gamma) and (fit.psi2, fit.sigma) == (psi2, sigma)
+
 
 def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> SimpleNamespace:
     """fit_lqmm with scipy's Nelder-Mead run on one restart at a time (the reference)."""
     ws = _Workspace(data)
-    ws.normalize_weights()
+    ws.weights = qm._normalized(ws.weights)
     gamma0, psi2_0, sigma0 = qm._start_values(ws, tau, ws.weights[ws.g_sorted])
     estimate_psi = fix_psi2 is None
     base = _theta(gamma0, psi2_0, sigma0, estimate_psi)
@@ -467,8 +510,8 @@ class TestBootstrap:
             return refit(ws, picks, *args)
 
         monkeypatch.setattr(qm, "_fit_lockstep", spy)
-        for two_cell in (False, True):
-            data = ragged_grouped(71, two_cell)
+        for design in ("covariate", "two_cell", "partly_mixed"):
+            data = ragged_grouped(71, design)
             fit = fit_lqmm(data, 0.5, restarts=1)
             caps = (1, 7 * (data.n_units + len(data.labels)), qm.BATCH_SEGMENTS)
             for group_effects in (True, False):
@@ -492,15 +535,14 @@ class TestBootstrap:
     def test_lockstep_refit_matches_scipy_refit(self, two_cell):
         # Each replicate refitted alone by scipy's Nelder-Mead, as the
         # bootstrap did before the refits ran in lockstep.
-        data = ragged_grouped(73, two_cell)
+        data = ragged_grouped(73, "two_cell" if two_cell else "covariate")
         fit = fit_lqmm(data, 0.5, restarts=1)
         theta0 = _theta(fit.gamma, fit.psi2, fit.sigma, True)
         base = _Workspace(data)
         draws = resamples(base, 3, 12)
         got = lockstep_refits(base, draws, theta0, 300, True)
         for draw, lockstep in zip(draws, got):
-            ws = base.gather(*draw)
-            ws.normalize_weights()
+            ws = replicate_workspace(data, draw)
 
             def negloglik(theta):
                 gamma, psi2, sigma = _unpack(theta, ws.P, None)
@@ -514,6 +556,26 @@ class TestBootstrap:
             assert np.array_equal(alone.gamma, lockstep.gamma)
             assert (alone.psi2, alone.sigma, alone.loglik) == (lockstep.psi2, lockstep.sigma, lockstep.loglik)
             assert alone.u == lockstep.u and alone.converged == lockstep.converged
+
+    def test_refits_of_a_low_psi2_replicate_converge(self):
+        # A coverage-study replicate (criterion 10's model: n = 160, J = 20)
+        # whose base fit puts psi2 near the floor. Refits must start psi2
+        # at PSI2_START or above: started at the base fit's psi2, 61 of 200
+        # run out of evaluations and the bootstrap raises NumericalError.
+        rng = np.random.default_rng(np.random.SeedSequence((301, 26)))
+        labels = [f"g{j:02d}" for j in range(20)]
+        u = np.repeat(rng.normal(0.0, 0.04, size=20), 8)
+        data = GroupedData(
+            z=np.clip(0.5 + u + rng.normal(0.0, 0.10, size=160), 0.0, 1.0), X=np.ones((160, 1)),
+            group=[g for g in labels for _ in range(8)], group_weights={g: 1.0 for g in labels},
+        )
+        fit = fit_lqmm(data, 0.5, restarts=2, compute_modes=False)
+        assert fit.psi2 < qm.PSI2_START
+        boot = bootstrap_fits(
+            data, 0.5, B=200, seed=int(rng.integers(0, 2**31 - 1)), base_fit=fit, group_effects=False, max_fev=400
+        )
+        assert boot.n_dropped <= 4
+        assert boot.ci_low[0] <= 0.5 <= boot.ci_high[0]
 
     def test_ci_width_shrinks_with_more_groups(self):
         rng = np.random.default_rng(53)
@@ -546,22 +608,25 @@ class TestBootstrap:
             bootstrap_fits(data, 0.5, B=10, seed=0)
 
 
-def resample_via_grouped_data(data: GroupedData, rng) -> _Workspace:
-    """Reference replicate: a GroupedData of the picked groups, labelled g~k."""
-    labels = list(data.labels)
-    picks = rng.integers(0, len(labels), size=len(labels))
+def replicate_workspace(data: GroupedData, draw) -> _Workspace:
+    """Bootstrap replicate draw = (labels, picked) of data, built as bootstrap_fits must match.
+
+    A GroupedData of the picked groups in the order they were drawn (copy
+    k of group g labelled g~k), whose workspace orders them by label; its
+    weights are normalized as the bootstrap's are.
+    """
+    source = list(data.labels)
     dom = np.asarray(data.group, dtype=object)
     z, X, group, weights = [], [], [], {}
-    for k, j in enumerate(picks):
-        mask = dom == labels[j]
-        label = f"{labels[j]}~{k}"
+    for label, j in sorted(zip(*draw), key=lambda pick: int(pick[0].rsplit("~", 1)[1])):
+        mask = dom == source[j]
         z.append(data.z[mask])
         X.append(data.X[mask])
         group += [label] * int(mask.sum())
-        weights[label] = data.group_weights[labels[j]]
-    return _Workspace(
-        GroupedData(z=np.concatenate(z), X=np.vstack(X), group=group, group_weights=weights)
-    )
+        weights[label] = data.group_weights[source[j]]
+    ws = _Workspace(GroupedData(z=np.concatenate(z), X=np.vstack(X), group=group, group_weights=weights))
+    ws.weights = qm._normalized(ws.weights)
+    return ws
 
 
 class TestResampleGroups:
@@ -584,23 +649,6 @@ class TestResampleGroups:
             group=[group[i] for i in order], group_weights=weights,
         )
 
-    @pytest.mark.parametrize("two_cell", [False, True])
-    def test_gather_matches_grouped_data_build(self, two_cell):
-        for seed in range(5):
-            data = self.uneven(seed, two_cell)
-            base = _Workspace(data)
-            got = base.gather(*_pick_groups(base, np.random.default_rng(seed)))
-            ref = resample_via_grouped_data(data, np.random.default_rng(seed))
-            assert got.labels == ref.labels
-            for name in ("z", "X", "starts", "weights"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-            assert (got.zs is None) == (ref.zs is None) == two_cell
-            if not two_cell:
-                np.testing.assert_array_equal(got.zs, ref.zs)
-            for psi2 in (0.0, 0.003, 0.2):
-                args = (np.array([0.4, 0.6]), psi2, 0.07, 0.3)
-                assert got.loglik_exact(*args) == ref.loglik_exact(*args)
-
     def test_refit_leaves_workspace_weights(self):
         data = self.uneven(0, two_cell=True)
         ws = _Workspace(data)
@@ -621,8 +669,13 @@ def resamples(ws, seed, k):
     return [_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(k)]
 
 
-def ragged_grouped(seed, two_cell, J=10):
-    """Groups of 2-9 rows with uneven weights: a group-level covariate or two cells."""
+def ragged_grouped(seed, design, J=10):
+    """Groups of 2-9 rows with uneven weights.
+
+    The design is a group-level covariate ("covariate"), two cells
+    ("two_cell"), or a covariate that varies within every third group and
+    is group-level in the others ("partly_mixed").
+    """
     rng = np.random.default_rng(seed)
     z, X, group, weights = [], [], [], {}
     for j in range(J):
@@ -631,43 +684,42 @@ def ragged_grouped(seed, two_cell, J=10):
         u = rng.normal(0.0, 0.05)
         covariate = float(rng.uniform())
         for _ in range(int(rng.integers(2, 10))):
-            cell = int(two_cell and rng.random() < 0.5)
+            cell = int(design == "two_cell" and rng.random() < 0.5)
             z.append(float(np.clip(0.3 + 0.2 * cell + u + rng.normal(0.0, 0.1), 0.0, 1.0)))
-            X.append([1.0 - cell, float(cell)] if two_cell else [1.0, covariate])
+            if design == "two_cell":
+                X.append([1.0 - cell, float(cell)])
+            else:
+                X.append([1.0, float(rng.uniform()) if design == "partly_mixed" and j % 3 == 0 else covariate])
             group.append(g)
     return GroupedData(z=np.array(z), X=np.array(X), group=group, group_weights=weights)
 
 
 @st.composite
-def replicate_batches(draw, two_cell: bool):
-    """Bootstrap replicates of random ragged data, a subset of them and parameters.
+def replicate_batches(draw, design: str):
+    """Random ragged data, bootstrap draws of it, a subset of them and parameters.
 
     Group sizes run from 1 to 9 and psi2 falls on both sides of the
-    point-mass floor. The two-cell data always mix cells in one group, so
-    they take the sorting path.
+    point-mass floor. With 12 groups, copy indices run past 9, so the g~k
+    labels sort out of numeric order. The design is one of draw_design's;
+    in the mixed ones group 0 always mixes design rows, so its residuals
+    are sorted.
     """
-    J = draw(st.integers(1, 5))
+    J = draw(st.one_of(st.integers(1, 5), st.just(12)))
     sizes = draw(st.lists(st.integers(1, 9), min_size=J, max_size=J))
-    if two_cell:
+    if design != "covariate":
         sizes[0] = max(sizes[0], 2)
     n = sum(sizes)
     unit = st.floats(0.0, 1.0, allow_nan=False)
     z = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit), min_size=n, max_size=n))
     labels = [f"g{j}" for j in range(J)]
     group = [g for g, m in zip(labels, sizes) for _ in range(m)]
-    if two_cell:
-        cells = [True, False] + draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
-        X = [[0.0, 1.0] if c else [1.0, 0.0] for c in cells]
-    else:
-        covariate = draw(st.lists(unit, min_size=J, max_size=J))
-        X = [[1.0, covariate[labels.index(g)]] for g in group]
+    X = draw_design(draw, design, sizes)
     weights = draw(st.lists(st.floats(0.1, 10.0), min_size=J, max_size=J))
     data = GroupedData(
         z=np.array(z), X=np.array(X), group=group, group_weights=dict(zip(labels, weights))
     )
     k = draw(st.integers(1, 6))
-    base = _Workspace(data)
-    draws = resamples(base, draw(st.integers(0, 1000)), k)
+    draws = resamples(_Workspace(data), draw(st.integers(0, 1000)), k)
     live = np.flatnonzero(draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any)))
     psi2 = st.one_of(st.sampled_from([0.0, PSI2_FLOOR]), st.floats(1e-4, 1.0))
     params = np.array(
@@ -677,7 +729,7 @@ def replicate_batches(draw, two_cell: bool):
         ]
     )
     tau = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
-    return base, draws, live, params, tau
+    return data, draws, live, params, tau
 
 
 def reference_loglik_exact(ws, gamma, psi2, sigma, tau) -> float:
@@ -695,11 +747,11 @@ def reference_loglik_exact(ws, gamma, psi2, sigma, tau) -> float:
     row_offset = ws.starts[seg_group]
     buf = np.empty(n + 2)
     buf[n:] = (-np.inf, np.inf)
-    if ws.zs is not None:
-        buf[:n] = ws.zs - (ws.Xg @ gamma)[ws.g_sorted]
-    else:
-        resid = ws.z - ws.X @ gamma
-        buf[:n] = resid[np.lexsort((resid, ws.g_sorted))]
+    xg = ws.X[:, 0] * gamma[0]  # x' gamma elementwise, summing the columns in order
+    for k in range(1, ws.P):
+        xg = xg + ws.X[:, k] * gamma[k]
+    resid = ws.z - xg
+    buf[:n] = resid[np.lexsort((resid, ws.g_sorted))]
     s = buf[:n]
     cs0 = np.concatenate([[0.0], np.add.accumulate(s)])
     group_tot = np.add.reduceat(s, ws.starts)
@@ -728,22 +780,22 @@ def reference_loglik_exact(ws, gamma, psi2, sigma, tau) -> float:
 class TestBatchedLoglik:
     """The batched kernel returns each replicate's loglik_exact, bit for bit.
 
-    The reference evaluates one replicate at a time with whole-array
-    numpy expressions; the kernel evaluates several replicates at once in
-    work buffers, and the same kernel with one replicate is loglik_exact.
+    Each replicate is built as bootstrap_fits must match: a GroupedData of
+    the drawn groups, labelled g~k. The reference evaluates one replicate
+    at a time with whole-array numpy expressions; the kernel evaluates
+    several replicates at once in work buffers, and the same kernel with
+    one replicate is loglik_exact.
     """
 
-    def check(self, base, draws, live, params, tau):
-        replicates = [base.gather(*draw) for draw in draws]
-        for ws in replicates:
-            ws.normalize_weights()
+    def check(self, data, draws, live, params, tau):
+        replicates = [replicate_workspace(data, draw) for draw in draws]
         default = qm._CHUNK
         # Runs of pieces as long as the batch, and of at most 5 pieces (a
         # group of 5 rows or more then takes a run of its own).
         for chunk in (default, 5):
             qm._CHUNK = chunk
             try:
-                batch = _Batch(base, np.array([picked for _, picked in draws]), tau)
+                batch = _Batch(_Workspace(data), np.array([picked for _, picked in draws]), tau)
                 # A subset of the replicates, then all of them: the layout follows.
                 for idx in (live, np.arange(len(draws))):
                     gamma, psi2, sigma = params[idx, :2], params[idx, 2], params[idx, 3]
@@ -756,13 +808,19 @@ class TestBatchedLoglik:
                 qm._CHUNK = default
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(replicate_batches(two_cell=False))
+    @given(replicate_batches("covariate"))
     def test_one_design_row_per_group(self, case):
-        assert case[0].zs is not None  # the presorted path
+        assert not _Workspace(case[0]).mixed.any()  # no group's residuals are sorted
         self.check(*case)
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(replicate_batches(two_cell=True))
+    @given(replicate_batches("two_cell"))
     def test_two_cell_design(self, case):
-        assert case[0].zs is None  # the sorting path
+        assert _Workspace(case[0]).mixed[0]  # group 0's residuals are sorted
+        self.check(*case)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(replicate_batches("partly_mixed"))
+    def test_partly_mixed_design(self, case):
+        assert _Workspace(case[0]).mixed[0]
         self.check(*case)
