@@ -8,26 +8,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def golden_max(fun, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi].
+def golden_max(fun, lo, hi, iters: int):
+    """Golden-section maximization of a unimodal function on [lo, hi].
 
     Runs a fixed number of bracket reductions, each shrinking the bracket
-    by 1/phi, and returns the midpoint of the final bracket.
+    by 1/phi, and returns the midpoint of the final bracket. For arrays of
+    brackets, each round makes one fun call on an array of points, and each
+    bracket's result is bit for bit that of a search of it alone.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
+        left = fc > fd  # the maximum lies in [a, d]: d becomes the upper end, c the new d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fun(x)
+        c, d, fc, fd = np.where(left, x, d), np.where(left, c, x), np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (a + b)
 
 

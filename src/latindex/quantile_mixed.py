@@ -156,7 +156,7 @@ class BootstrapFits:
     estimates: np.ndarray  # (B_kept, P)
     psi2: np.ndarray
     sigma: np.ndarray
-    u_by_group: tuple[dict[str, float], ...]
+    u_by_group: tuple[dict[str, float], ...]  # per kept refit; empty when group_effects=False
     ci_low: np.ndarray
     ci_high: np.ndarray
     std_error: np.ndarray
@@ -418,14 +418,14 @@ class _Workspace:
     """Rows grouped by label, for the likelihoods and the start values.
 
     z, X and g_sorted hold each group's rows in input order, groups in
-    label order; the start values, the conditional modes and the psi2 = 0
-    likelihood sum over rows in that order. Xd holds the distinct design
-    rows and design each row's index into Xd. A group is mixed when its
-    rows have more than one design row. An unmixed group's residuals
-    z - x_j' gamma keep the order of its responses for any gamma, so zs
-    holds those responses sorted, and the exact likelihood sorts only the
-    mixed groups, whose responses zs keeps in input order (design indexes
-    zs's rows as well as z's).
+    label order; the start values, the psi2 = 0 likelihood and the modes
+    (on _Batch's gathered rows) sum over rows in that order. Xd holds the
+    distinct design rows and design each row's index into Xd. A group is
+    mixed when its rows have more than one design row. An unmixed group's
+    residuals z - x_j' gamma keep the order of its responses for any
+    gamma, so zs holds those responses sorted, and the exact likelihood
+    sorts only the mixed groups, whose responses zs keeps in input order
+    (design indexes zs's rows as well as z's).
     """
 
     def __init__(self, data: GroupedData):
@@ -488,7 +488,9 @@ class _Batch:
     running resamples are laid end to end in one _layout, rebuilt when
     that set changes, and evaluated by one _exact_loglik call; those at
     the point-mass floor of psi2 take the scalar branch one at a time.
-    Each value is bit-identical to that resample's own loglik_exact.
+    Each value is bit-identical to that resample's own loglik_exact. z and
+    X gather every resample's rows once, each group's in ws's input order;
+    starts[r] holds where resample r's groups start in them.
     """
 
     def __init__(self, ws: _Workspace, picks: np.ndarray, tau: float):
@@ -497,14 +499,14 @@ class _Batch:
         self._work = _storage(ws, picks)  # large enough for any subset
         self._layout = _layout(ws, picks, tau, self._work)
         self._key = np.arange(len(picks)).tobytes()
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        rows, starts = ws.group_rows(picks.ravel())
+        self.z, self.X, self.starts = ws.z[rows], ws.X[rows], starts.reshape(picks.shape)
+        self._ends = np.append(self.starts[1:, 0], rows.size)
 
     def rows(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resample r's responses, design rows and group starts (gathered once)."""
-        if r not in self._rows:
-            rows, starts = self.ws.group_rows(self.picks[r])
-            self._rows[r] = self.ws.z[rows], self.ws.X[rows], starts
-        return self._rows[r]
+        """Resample r's responses, design rows and group starts."""
+        s, e = self.starts[r, 0], self._ends[r]
+        return self.z[s:e], self.X[s:e], self.starts[r] - s
 
     def loglik_exact(self, idx, gamma, psi2, sigma) -> np.ndarray:
         """Resample idx[i]'s loglik_exact(gamma[i], psi2[i], sigma[i], tau) for each i."""
@@ -604,27 +606,34 @@ def _start_values(ws: _Workspace, tau: float, row_weights: np.ndarray) -> tuple[
     return gamma, psi2, sigma
 
 
-def _conditional_modes(z, X, starts, gamma, psi2, sigma, tau) -> np.ndarray:
-    """Posterior mode of each group intercept (rows from starts[j]) under ALD likelihood x normal prior."""
-    J = len(starts)
-    if psi2 <= PSI2_FLOOR:
-        return np.zeros(J)
-    resid = z - X @ gamma
-    psi = math.sqrt(psi2)
-    ends = np.append(starts[1:], len(z))
-    modes = np.empty(J)
-    for j in range(J):
-        r = resid[starts[j] : ends[j]]
-        qj = _weighted_quantile(r, np.ones(r.size), tau)
+def _conditional_modes(resid, starts, psi2, sigma, tau) -> np.ndarray:
+    """Posterior mode of each group intercept under ALD likelihood x normal prior.
 
-        def logpost(u):
-            d = r - u
+    Group j holds the rows from starts[j] on, with its own psi2 and sigma
+    (mode 0 at the psi2 floor). One golden_max searches all groups; those of
+    one size form a (k, n) block, whose row sums match 1-D sums bit for bit.
+    """
+    sizes = np.diff(starts, append=resid.size)
+    live = np.flatnonzero(psi2 > PSI2_FLOOR)
+    psi2, sigma, q, blocks = psi2[live], sigma[live], np.empty(live.size), []
+    for n in np.unique(sizes[live]).tolist():
+        at = np.flatnonzero(sizes[live] == n)
+        r = resid[starts[live[at]][:, None] + np.arange(n)]
+        # Each group's _weighted_quantile at unit weights, whose running sums are 1, ..., n.
+        q[at] = np.sort(r, axis=1)[:, min(int(np.searchsorted(np.arange(1.0, n + 1), tau * n)), n - 1)]
+        blocks.append((at, r, sigma[at], psi2[at]))
+
+    def logpost(u):
+        out = np.empty(u.size)
+        for at, r, sig, var in blocks:
+            d = r - u[at, None]
             loss = d * (tau - (d < 0))
-            return -loss.sum() / sigma - 0.5 * u * u / psi2
+            out[at] = -loss.sum(axis=1) / sig - 0.5 * u[at] * u[at] / var
+        return out
 
-        lo = min(0.0, qj) - 2.0 * psi
-        hi = max(0.0, qj) + 2.0 * psi
-        modes[j] = golden_max(logpost, lo, hi, 100)
+    psi = np.sqrt(psi2)
+    modes = np.zeros(starts.size)
+    modes[live] = golden_max(logpost, np.minimum(0.0, q) - 2.0 * psi, np.maximum(0.0, q) + 2.0 * psi, 100)
     return modes
 
 
@@ -663,43 +672,34 @@ def _fit_lockstep(
     return batch, res
 
 
-def _finish_fits(
-    batch: _Batch, thetas, converged, labels, fix_psi2: float | None, compute_modes: bool
-) -> list[QuantileMixedFit]:
-    """The fit of resample i of batch at the optimizer's thetas[i], for each i.
+def _finish_fits(batch: _Batch, thetas, fix_psi2: float | None, compute_modes: bool):
+    """gamma (m, P), psi2, sigma, modes u (m, J) and loglik of resample i < m of batch at thetas[i].
 
-    Modes and recentring come one resample at a time; the final
-    log-likelihoods of all of them are one batched call.
+    m is len(thetas), and u is zero unless compute_modes. Only recentring goes
+    one resample at a time, as lstsq's bits depend on the resample's rows.
     """
-    ws, tau = batch.ws, batch.tau
-    params, modes = [], []
-    for i, theta in enumerate(thetas):
-        gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
-        gamma = np.array(gamma, dtype=float)
-        u = np.zeros(batch.picks.shape[1])
-        if compute_modes:
-            z, X, starts = batch.rows(i)
-            u = _conditional_modes(z, X, starts, gamma, psi2, sigma, tau)
+    m, J = len(thetas), batch.picks.shape[1]
+    gamma, psi2, sigma = zip(*(_unpack(theta, batch.ws.P, fix_psi2) for theta in thetas))
+    gamma, psi2, sigma = np.array(gamma, dtype=float), np.array(psi2, dtype=float), np.array(sigma)
+    u = np.zeros((m, J))
+    if compute_modes:
+        resid = np.concatenate([z - X @ g for (z, X, _), g in zip(map(batch.rows, range(m)), gamma)])
+        u = _conditional_modes(resid, batch.starts[:m].ravel(), np.repeat(psi2, J), np.repeat(sigma, J), batch.tau)
+        u = u.reshape(m, J)
+        for i in range(m):
             # Recentre: move the weighted mean of the modes into gamma when the
             # design spans the constant vector.
-            wbar = float(batch.weights[i] @ u) / float(batch.weights[i].sum())
+            wbar = float(batch.weights[i] @ u[i]) / float(batch.weights[i].sum())
             if wbar != 0.0:
+                z, X, _ = batch.rows(i)
                 c, *_ = np.linalg.lstsq(X, np.ones(z.size), rcond=None)
                 if np.max(np.abs(X @ c - 1.0)) < 1e-8:
-                    gamma = gamma + wbar * c
-                    u = u - wbar
-        params.append((gamma, psi2, sigma))
-        modes.append(u)
-    gammas, psi2s, sigmas = zip(*params)
-    psi2s, sigmas = np.array(psi2s, dtype=float), np.array(sigmas)
-    logliks = batch.loglik_exact(np.arange(len(params)), np.array(gammas), psi2s, sigmas)
-    return [
-        QuantileMixedFit(
-            tau=tau, gamma=gamma, psi2=float(psi2), sigma=float(sigma), u={g: float(m) for g, m in zip(names, u)},
-            loglik=float(loglik), converged=bool(ok), column_names=ws.column_names,
-        )
-        for gamma, psi2, sigma, u, names, loglik, ok in zip(gammas, psi2s, sigmas, modes, labels, logliks, converged)
-    ]
+                    gamma[i] = gamma[i] + wbar * c
+                    u[i] = u[i] - wbar
+    loglik = batch.loglik_exact(np.arange(m), gamma, psi2, sigma)
+    if not np.isfinite(loglik).all():
+        raise NumericalError("fitted log-likelihood is not finite")
+    return gamma, psi2, sigma, u, loglik
 
 
 def fit_lqmm(
@@ -756,7 +756,9 @@ def fit_lqmm(
     picks = np.tile(np.arange(len(ws.labels)), (restarts, 1))  # every restart fits ws itself
     batch, res = _fit_lockstep(ws, picks, tau, thetas0, fix_psi2, 1e-6, 1e-9, 400 * base.size)
     best = min(range(restarts), key=res.fun.__getitem__)  # the first of the lowest
-    return _finish_fits(batch, res.x[[best]], res.success[[best]], [ws.labels], fix_psi2, compute_modes)[0]
+    gamma, psi2, sigma, u, loglik = _finish_fits(batch, res.x[[best]], fix_psi2, compute_modes)
+    return QuantileMixedFit(tau, gamma[0], float(psi2[0]), float(sigma[0]), dict(zip(ws.labels, u[0].tolist())),
+                            float(loglik[0]), bool(res.success[best]), ws.column_names)
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +821,8 @@ def predict_conditional(
     """
     if group not in fit.u:
         raise ValidationError(f"unknown group {group!r}")
+    if bootstrap is not None and not bootstrap.u_by_group:
+        raise ValidationError("bootstrap_fits ran with group_effects=False: it holds no group modes")
     X_new = _as_matrix(X_new, fit.gamma.shape[0])
     u_g = fit.u[group]
     points = X_new @ fit.gamma + u_g
@@ -855,19 +859,18 @@ def predict_conditional(
 # ---------------------------------------------------------------------------
 
 
-def _pick_groups(ws: _Workspace, rng: np.random.Generator) -> tuple[list[str], np.ndarray]:
-    """Labels and source groups of J groups drawn with replacement, in label order.
+def _pick_groups(ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
+    """Source groups of J groups drawn with replacement, in label order.
 
     Copy k of group g is labelled f"{g}~{k}" and the copies are ordered
     as those labels sort, exactly as _Workspace orders them when built
     from the resampled GroupedData: that order fixes the summation order
-    of the likelihood.
+    of the likelihood. The labels themselves are not kept.
     """
     J = len(ws.labels)
     picks = rng.integers(0, J, size=J)
     names = [f"{ws.labels[j]}~{k}" for k, j in enumerate(picks.tolist())]
-    order = sorted(range(J), key=names.__getitem__)
-    return [names[k] for k in order], picks[order]
+    return picks[sorted(range(J), key=names.__getitem__)]
 
 
 def bootstrap_fits(
@@ -887,9 +890,9 @@ def bootstrap_fits(
     vector. Refits that fail to converge are dropped and counted; more
     than 20% drops is an error. Replicate b derives its stream from
     (seed, b), and the refits run in lockstep batches whose size
-    (BATCH_SEGMENTS) changes no result. group_effects=False skips the
-    per-replicate conditional modes (only fixed-effect intervals are then
-    available).
+    (BATCH_SEGMENTS) changes no result. A group drawn twice reports the
+    mode of its first copy in label order. group_effects=False skips the
+    modes: u_by_group is then empty, for fixed-effect intervals only.
     """
     if B < 50:
         raise ValidationError("bootstrap needs B >= 50 replicates")
@@ -900,39 +903,36 @@ def bootstrap_fits(
         max_fev = 200 * (data.X.shape[1] + 2)
 
     ws = _Workspace(data)
-    draws = [_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(B)]
-    segments = np.array([ws.sizes[picked].sum() + picked.size for _, picked in draws])
-    fits: list[QuantileMixedFit] = []
+    picks = np.array([_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(B)])
+    segments = ws.sizes[picks].sum(axis=1) + picks.shape[1]
+    parts = []
     start = 0
     while start < B:
         # Each batch takes the most draws that fit in BATCH_SEGMENTS likelihood segments, and at least one.
         stop = start + max(1, int(np.searchsorted(np.cumsum(segments[start:]), BATCH_SEGMENTS, side="right")))
-        labels, picks = zip(*draws[start:stop])
         # Percentile intervals tolerate coarser optima than the base fit.
         thetas0 = np.tile(theta0, (stop - start, 1))
-        batch, res = _fit_lockstep(ws, np.array(picks), tau, thetas0, None, 1e-5, 1e-8, max_fev)
-        fits += _finish_fits(batch, res.x, res.success, labels, None, group_effects)
+        batch, res = _fit_lockstep(ws, picks[start:stop], tau, thetas0, None, 1e-5, 1e-8, max_fev)
+        parts.append((*_finish_fits(batch, res.x, None, group_effects), res.success))
         start = stop
+    gamma, psi2, sigma, u, _, converged = (np.concatenate(part) for part in zip(*parts))
 
-    kept = [fit for fit in fits if fit.converged]
-    n_dropped = B - len(kept)
+    n_dropped = B - int(converged.sum())
     if n_dropped > 0.2 * B:
         raise NumericalError(
             f"{n_dropped} of {B} bootstrap refits failed to converge"
         )
 
     u_by_group = []
-    for fit in kept:
-        u_by_original: dict[str, float] = {}
-        for label, val in fit.u.items():
-            u_by_original.setdefault(label.rsplit("~", 1)[0], val)
-        u_by_group.append(u_by_original)
-    estimates = np.array([fit.gamma for fit in kept])
+    for pick, modes in zip(picks[converged], u[converged]) if group_effects else ():
+        groups, first = np.unique(pick, return_index=True)
+        u_by_group.append({ws.labels[j]: v for j, v in zip(groups.tolist(), modes[first].tolist())})
+    estimates = gamma[converged]
     return BootstrapFits(
         tau=tau,
         estimates=estimates,
-        psi2=np.array([fit.psi2 for fit in kept]),
-        sigma=np.array([fit.sigma for fit in kept]),
+        psi2=psi2[converged],
+        sigma=sigma[converged],
         u_by_group=tuple(u_by_group),
         ci_low=np.quantile(estimates, 0.025, axis=0),
         ci_high=np.quantile(estimates, 0.975, axis=0),

@@ -122,3 +122,54 @@ class TestNelderMeadBatch:
 
 def test_golden_max_finds_parabola_peak():
     assert golden_max(lambda u: -((u - 0.3) ** 2), -1.0, 2.0, 80) == pytest.approx(0.3, abs=1e-9)
+
+
+def reference_golden_max(fun, lo: float, hi: float, iters: int) -> float:
+    """Golden-section search of one bracket, one branch per round (the reference)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "kinked", "stepped"])
+def test_golden_max_on_brackets_equals_each_search_alone(kind):
+    # Random brackets around random peaks; stepped plateaus make fc == fd ties.
+    rng = np.random.default_rng(["smooth", "kinked", "stepped"].index(kind))
+    n = 200
+    peak, scale, tau = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 5.0, n), rng.uniform(0.05, 0.95, n)
+    lo = rng.uniform(-3.0, 1.0, n)
+    hi = lo + rng.uniform(1e-3, 4.0, n)
+
+    def f(u, peak, scale, tau):
+        d = u - peak
+        if kind == "smooth":
+            return -scale * d * d * (1.0 + 0.1 * d * d)
+        if kind == "kinked":
+            return -scale * d * (tau - (d < 0))
+        return -np.floor(scale * np.abs(d))
+
+    calls = []
+
+    def batch(u):
+        calls.append(u.shape)
+        return f(u, peak, scale, tau)
+
+    got = golden_max(batch, lo, hi, 60)
+    assert calls == [(n,)] * 62  # one call per round, and two to start
+    for i in range(n):
+        alone = lambda u: f(u, peak[i], scale[i], tau[i])
+        want = reference_golden_max(alone, float(lo[i]), float(hi[i]), 60)
+        assert got[i] == want
+        assert golden_max(alone, float(lo[i]), float(hi[i]), 60) == want

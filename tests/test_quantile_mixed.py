@@ -11,6 +11,7 @@ from scipy.special import log_ndtr
 
 import latindex.quantile_mixed as qm
 from latindex.errors import ValidationError
+from latindex.optimize import golden_max
 from latindex.quadrature import hermite_rule
 from latindex.quantile_mixed import (
     PSI2_FLOOR,
@@ -421,7 +422,7 @@ def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> Si
         if best is None or res.fun < best.fun:
             best = res
     gamma, psi2, sigma = _unpack(best.x, ws.P, fix_psi2)
-    modes = qm._conditional_modes(ws.z, ws.X, ws.starts, gamma, psi2, sigma, tau)
+    modes = reference_conditional_modes(ws.z, ws.X, ws.starts, gamma, psi2, sigma, tau)
     wbar = float(ws.weights @ modes) / float(ws.weights.sum())
     if wbar != 0.0:
         c, *_ = np.linalg.lstsq(ws.X, np.ones(ws.n), rcond=None)
@@ -431,6 +432,30 @@ def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> Si
         gamma=gamma, psi2=float(psi2), sigma=float(sigma), loglik=ws.loglik_exact(gamma, psi2, sigma, tau),
         u={g: float(m) for g, m in zip(ws.labels, modes)}, converged=bool(best.success),
     )
+
+
+def reference_conditional_modes(z, X, starts, gamma, psi2, sigma, tau) -> np.ndarray:
+    """Posterior mode of each group intercept, one golden-section search per group (the reference)."""
+    J = len(starts)
+    if psi2 <= PSI2_FLOOR:
+        return np.zeros(J)
+    resid = z - X @ gamma
+    psi = math.sqrt(psi2)
+    ends = np.append(starts[1:], len(z))
+    modes = np.empty(J)
+    for j in range(J):
+        r = resid[starts[j] : ends[j]]
+        qj = qm._weighted_quantile(r, np.ones(r.size), tau)
+
+        def logpost(u):
+            d = r - u
+            loss = d * (tau - (d < 0))
+            return -loss.sum() / sigma - 0.5 * u * u / psi2
+
+        lo = min(0.0, qj) - 2.0 * psi
+        hi = max(0.0, qj) + 2.0 * psi
+        modes[j] = golden_max(logpost, lo, hi, 100)
+    return modes
 
 
 class TestPredictions:
@@ -540,8 +565,8 @@ class TestBootstrap:
         theta0 = _theta(fit.gamma, fit.psi2, fit.sigma, True)
         base = _Workspace(data)
         draws = resamples(base, 3, 12)
-        got = lockstep_refits(base, draws, theta0, 300, True)
-        for draw, lockstep in zip(draws, got):
+        *lockstep, success = lockstep_refits(base, draws, theta0, 300, True)
+        for i, draw in enumerate(draws):
             ws = replicate_workspace(data, draw)
 
             def negloglik(theta):
@@ -552,10 +577,10 @@ class TestBootstrap:
                 negloglik, theta0, method="Nelder-Mead",
                 options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 300, "maxfev": 300},
             )
-            alone = _finish_fits(_Batch(base, draw[1][None], 0.5), res.x[None], [res.success], [draw[0]], None, True)[0]
-            assert np.array_equal(alone.gamma, lockstep.gamma)
-            assert (alone.psi2, alone.sigma, alone.loglik) == (lockstep.psi2, lockstep.sigma, lockstep.loglik)
-            assert alone.u == lockstep.u and alone.converged == lockstep.converged
+            alone = _finish_fits(_Batch(base, draw[1][None], 0.5), res.x[None], None, True)
+            for got, want in zip(lockstep, alone):  # gamma, psi2, sigma, u and loglik
+                assert np.array_equal(got[i], want[0])
+            assert success[i] == res.success
 
     def test_refits_of_a_low_psi2_replicate_converge(self):
         # A coverage-study replicate (criterion 10's model: n = 160, J = 20)
@@ -576,6 +601,43 @@ class TestBootstrap:
         )
         assert boot.n_dropped <= 4
         assert boot.ci_low[0] <= 0.5 <= boot.ci_high[0]
+
+    def test_group_modes_come_from_the_first_copy_in_label_order(self, monkeypatch):
+        # Replicate 0 of seed 19 draws group r9 twice, as copies r9~3 and
+        # r9~12. "r9~12" sorts first, so its mode is the one kept. Copies
+        # of one group share their mode, so each mode is replaced by the
+        # group's position in the draw to tell the copies apart.
+        data = ragged_grouped(83, "covariate", J=13)
+        fit = fit_lqmm(data, 0.5, restarts=1)
+        finish = qm._finish_fits
+
+        def positions(batch, thetas, *args):
+            gamma, psi2, sigma, _, loglik = finish(batch, thetas, *args)
+            return gamma, psi2, sigma, np.tile(np.arange(13.0), (len(thetas), 1)), loglik
+
+        monkeypatch.setattr(qm, "_finish_fits", positions)
+        boot = bootstrap_fits(data, 0.5, B=50, seed=19, base_fit=fit)
+        labels, _ = resamples(_Workspace(data), 19, 1)[0]
+        assert boot.n_dropped == 0  # so u_by_group[0] is replicate 0
+        assert labels.index("r9~12") < labels.index("r9~3")
+        assert boot.u_by_group[0]["r9"] == labels.index("r9~12")
+        first = {}
+        for k, label in enumerate(labels):
+            first.setdefault(label.rsplit("~", 1)[0], float(k))
+        assert boot.u_by_group[0] == first
+
+    def test_without_group_effects_conditional_intervals_are_refused(self):
+        # Such a bootstrap has no modes to add to its refits' predictions.
+        rng = np.random.default_rng(47)
+        data = make_grouped(rng, J=8, n_j=15)
+        fit = fit_lqmm(data, 0.5, restarts=2)
+        boot = bootstrap_fits(data, 0.5, B=50, seed=3, base_fit=fit, group_effects=False)
+        assert boot.u_by_group == ()
+        X = np.array([[1.0, 0.0]])
+        marginal = predict_marginal(fit, X, boot)[0]
+        assert marginal.ci_low < marginal.ci_high
+        with pytest.raises(ValidationError, match="group_effects=False"):
+            predict_conditional(fit, X, "g00", boot)
 
     def test_ci_width_shrinks_with_more_groups(self):
         rng = np.random.default_rng(53)
@@ -658,15 +720,30 @@ class TestResampleGroups:
 
 
 def lockstep_refits(ws, draws, theta0, max_fev, compute_modes):
-    """The bootstrap's refits at tau 0.5 of the resamples draws of ws, all from theta0."""
+    """The bootstrap's refits at tau 0.5 of the resamples draws of ws, all from theta0.
+
+    Returns _finish_fits's gamma, psi2, sigma, u and loglik, then the optimizer's success flags.
+    """
     picks = np.array([picked for _, picked in draws])
     batch, res = _fit_lockstep(ws, picks, 0.5, np.tile(theta0, (len(draws), 1)), None, 1e-5, 1e-8, max_fev)
-    return _finish_fits(batch, res.x, res.success, [labels for labels, _ in draws], None, compute_modes)
+    return (*_finish_fits(batch, res.x, None, compute_modes), res.success)
 
 
 def resamples(ws, seed, k):
-    """The first k bootstrap draws (labels, picked groups) of ws for this seed."""
-    return [_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(k)]
+    """The first k bootstrap draws (labels, picked groups) of ws for this seed.
+
+    Draw b takes J groups with replacement from the stream (seed, b);
+    copy k of group g is labelled g~k, and the copies are ordered as
+    those labels sort. _pick_groups must return the picks in that order.
+    """
+    J, draws = len(ws.labels), []
+    for b in range(k):
+        drawn = np.random.default_rng(np.random.SeedSequence((seed, b))).integers(0, J, size=J)
+        labels, picked = zip(*sorted((f"{ws.labels[j]}~{c}", j) for c, j in enumerate(drawn.tolist())))
+        picked = np.array(picked)
+        assert np.array_equal(_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))), picked)
+        draws.append((list(labels), picked))
+    return draws
 
 
 def ragged_grouped(seed, design, J=10):
@@ -823,4 +900,40 @@ class TestBatchedLoglik:
     @given(replicate_batches("partly_mixed"))
     def test_partly_mixed_design(self, case):
         assert _Workspace(case[0]).mixed[0]
+        self.check(*case)
+
+
+class TestConditionalModes:
+    """One batch-wide search gives each group of each resample its own search's mode, bit for bit.
+
+    The reference searches one group at a time, on each replicate's
+    workspace built as bootstrap_fits must match.
+    """
+
+    def check(self, data, draws, _, params, tau):
+        batch = _Batch(_Workspace(data), np.array([picked for _, picked in draws]), tau)
+        J = batch.picks.shape[1]
+        gamma, psi2, sigma = params[:, :2], params[:, 2], params[:, 3]
+        resid = np.concatenate([z - X @ g for (z, X, _), g in zip(map(batch.rows, range(len(draws))), gamma)])
+        got = qm._conditional_modes(resid, batch.starts.ravel(), np.repeat(psi2, J), np.repeat(sigma, J), tau)
+        for i, draw in enumerate(draws):
+            ws = replicate_workspace(data, draw)
+            z, X, starts = batch.rows(i)
+            assert np.array_equal(z, ws.z) and np.array_equal(X, ws.X) and np.array_equal(starts, ws.starts)
+            want = reference_conditional_modes(ws.z, ws.X, ws.starts, gamma[i], psi2[i], sigma[i], tau)
+            assert np.array_equal(got[i * J : (i + 1) * J], want)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(replicate_batches("covariate"))
+    def test_one_design_row_per_group(self, case):
+        self.check(*case)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(replicate_batches("two_cell"))
+    def test_two_cell_design(self, case):
+        self.check(*case)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(replicate_batches("partly_mixed"))
+    def test_partly_mixed_design(self, case):
         self.check(*case)
