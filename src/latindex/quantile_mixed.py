@@ -39,6 +39,9 @@ PSI2_FLOOR = 1e-10
 # often run out of evaluations (61 of 200 in one criterion-10 replicate).
 PSI2_START = 1e-4
 SIGMA_FLOOR = 1e-8
+# Nelder-Mead evaluation budget per optimized parameter, for base fits and
+# bootstrap refits alike.
+MAX_FEV_PER_PARAM = 400
 # Bootstrap replicates are refitted in lockstep batches of at most this
 # many likelihood segments (at least one replicate each), which bounds
 # the memory the batch's likelihood layout takes.
@@ -713,11 +716,11 @@ def fit_lqmm(
     """Maximize the weighted ALD mixed likelihood at one quantile level.
 
     Optimizes (gamma, log sigma, log psi2) by Nelder-Mead (xatol 1e-6,
-    fatol 1e-9, at most 400 evaluations per parameter) from the
-    documented start plus jittered restarts (deterministic jitter),
-    evaluating the likelihood with the exact segment integration. The
-    restarts run in lockstep and the first with the lowest objective
-    wins. fix_psi2 pins the random-intercept variance instead of
+    fatol 1e-9, at most MAX_FEV_PER_PARAM evaluations per parameter)
+    from the documented start plus jittered restarts (deterministic
+    jitter), evaluating the likelihood with the exact segment
+    integration. The restarts run in lockstep and the first with the
+    lowest objective wins. fix_psi2 pins the random-intercept variance instead of
     estimating it (fix_psi2=0 gives the fixed-quantile collapse).
     Conditional group modes are found afterwards by golden-section search
     and recentred: when the constant vector lies in the design's column
@@ -754,7 +757,7 @@ def fit_lqmm(
         if estimate_psi:
             theta0[ws.P + 1] += jitter_rng.normal(0.0, 0.4)
     picks = np.tile(np.arange(len(ws.labels)), (restarts, 1))  # every restart fits ws itself
-    batch, res = _fit_lockstep(ws, picks, tau, thetas0, fix_psi2, 1e-6, 1e-9, 400 * base.size)
+    batch, res = _fit_lockstep(ws, picks, tau, thetas0, fix_psi2, 1e-6, 1e-9, MAX_FEV_PER_PARAM * base.size)
     best = min(range(restarts), key=res.fun.__getitem__)  # the first of the lowest
     gamma, psi2, sigma, u, loglik = _finish_fits(batch, res.x[[best]], fix_psi2, compute_modes)
     return QuantileMixedFit(tau, gamma[0], float(psi2[0]), float(sigma[0]), dict(zip(ws.labels, u[0].tolist())),
@@ -887,8 +890,10 @@ def bootstrap_fits(
 
     Each replicate redraws the J groups (weights travel with the group),
     refits from the base fit's parameters, and contributes one parameter
-    vector. Refits that fail to converge are dropped and counted; more
-    than 20% drops is an error. Replicate b derives its stream from
+    vector. Refits get the base fit's budget of MAX_FEV_PER_PARAM
+    evaluations per parameter unless max_fev says otherwise; those that
+    fail to converge are dropped and counted, and more than 20% drops is
+    an error. Replicate b derives its stream from
     (seed, b), and the refits run in lockstep batches whose size
     (BATCH_SEGMENTS) changes no result. A group drawn twice reports the
     mode of its first copy in label order. group_effects=False skips the
@@ -900,7 +905,7 @@ def bootstrap_fits(
         base_fit = fit_lqmm(data, tau)
     theta0 = _theta(base_fit.gamma, max(base_fit.psi2, PSI2_START), base_fit.sigma, True)
     if max_fev is None:
-        max_fev = 200 * (data.X.shape[1] + 2)
+        max_fev = MAX_FEV_PER_PARAM * theta0.size
 
     ws = _Workspace(data)
     picks = np.array([_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(B)])

@@ -29,6 +29,10 @@ from .errors import NumericalError, ValidationError
 from .optimize import golden_max
 
 DEFAULT_REPLICATES = 500
+# ebp_indicator evaluates the statistic over a domain's replicates in
+# blocks of at most this many census elements (at least one replicate),
+# which bounds the memory its buffers take however large B and the domain.
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +436,15 @@ def _census_layout(
     return layout, (math.sqrt(fit.sigma2_e) if fit.sigma2_e > 0 else 0.0)
 
 
-def _draw_synthetic(mean_part: np.ndarray, sd_u: float, sd_e: float, seed: tuple[int, ...]) -> np.ndarray:
-    """One draw of a domain's out-of-sample units from the substream seed."""
+def _draw_synthetic(
+    mean_part: np.ndarray, sd_u: float, sd_e: float, seed: tuple[int, ...], out: np.ndarray
+) -> None:
+    """Write one draw of a domain's out-of-sample units from the substream seed into out."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u_star = rng.normal(0.0, sd_u)
     eps = rng.normal(0.0, sd_e, size=mean_part.size) if sd_e > 0 else 0.0
-    return mean_part + u_star + eps
+    np.add(mean_part, u_star, out=out)
+    out += eps
 
 
 def simulate_census(
@@ -461,20 +468,21 @@ def simulate_census(
     layout, sd_e = _census_layout(fit, frame, sample)
     out: dict[str, np.ndarray] = {}
     for idx, (d, observed, mean_part, sd_u) in enumerate(layout):
-        parts = [observed]
+        census = np.concatenate([observed, mean_part])
         if mean_part.size:
-            parts.append(_draw_synthetic(mean_part, sd_u, sd_e, (*seed_tuple, idx)))
-        out[d] = np.concatenate(parts)
+            _draw_synthetic(mean_part, sd_u, sd_e, (*seed_tuple, idx), census[observed.size :])
+        out[d] = census
     return out
 
 
 def _statistic_fn(statistic):
+    """(stat, name): stat(v) of a vector, stat(v, axis=1) of each row of a matrix."""
     if statistic == "median":
         return np.median, "median"
     if statistic == "mean":
         return np.mean, "mean"
     if isinstance(statistic, float) and 0.0 < statistic < 1.0:
-        return (lambda v: np.quantile(v, statistic)), f"q{statistic:g}"
+        return (lambda v, axis=None: np.quantile(v, statistic, axis=axis)), f"q{statistic:g}"
     raise ValidationError(f"unsupported statistic {statistic!r}")
 
 
@@ -501,31 +509,33 @@ def ebp_indicator(
     stat, stat_name = _statistic_fn(statistic)
 
     estimates = np.empty((len(layout), B))
-    direct: dict[int, float] = {}
+    direct = []
     for idx, (_, observed, mean_part, sd_u) in enumerate(layout):
-        if mean_part.size == 0:
-            # No synthetic units: the direct statistic, exactly, for any B.
-            direct[idx] = float(stat(observed))
-            estimates[idx, :] = direct[idx]
+        n_obs, M = observed.size, observed.size + mean_part.size
+        if mean_part.size == 0 or (sd_u == 0.0 and sd_e == 0.0):
+            # No synthetic units, or degenerate variances: every replicate is
+            # the same census, so its statistic is the answer, exactly, for any B.
+            estimates[idx, :] = stat(np.concatenate([observed, mean_part]))
+            direct.append(idx)
             continue
-        values = np.concatenate([observed, mean_part])
-        if sd_u == 0.0 and sd_e == 0.0:
-            # Degenerate variances: every replicate is the same census.
-            direct[idx] = float(stat(values))
-            estimates[idx, :] = direct[idx]
-            continue
-        for b in range(B):
-            values[observed.size :] = _draw_synthetic(mean_part, sd_u, sd_e, (seed, b, idx))
-            estimates[idx, b] = stat(values)
+        # Each block of replicates fills the rows of one buffer whose leading
+        # columns hold the observed units; the statistic then runs along rows.
+        rows = min(max(1, _CHUNK // M), B)
+        buf = np.empty((rows, M))
+        buf[:, :n_obs] = observed
+        for b0 in range(0, B, rows):
+            b1 = min(b0 + rows, B)
+            for b in range(b0, b1):
+                _draw_synthetic(mean_part, sd_u, sd_e, (seed, b, idx), buf[b - b0, n_obs:])
+            estimates[idx, b0:b1] = stat(buf[: b1 - b0], axis=1)
 
     est = estimates.mean(axis=1)
     if B > 1:
         mc_sd = estimates.std(axis=1, ddof=1) / math.sqrt(B)
     else:
         mc_sd = np.zeros(len(layout))
-    for idx, val in direct.items():
-        est[idx] = val
-        mc_sd[idx] = 0.0
+    est[direct] = estimates[direct, 0]
+    mc_sd[direct] = 0.0
     return EBPResult(
         domains=tuple(d for d, *_ in layout),
         estimate=est,

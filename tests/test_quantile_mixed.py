@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 import latindex.quantile_mixed as qm
-from latindex.errors import ValidationError
+from latindex.errors import NumericalError, ValidationError
 from latindex.optimize import golden_max
 from latindex.quadrature import hermite_rule
 from latindex.quantile_mixed import (
@@ -602,6 +602,31 @@ class TestBootstrap:
         assert boot.n_dropped <= 4
         assert boot.ci_low[0] <= 0.5 <= boot.ci_high[0]
 
+    def test_refits_get_the_base_fit_budget(self):
+        # Five parameters on 47 rows in ten groups: at the earlier default of
+        # 200 evaluations per parameter, 17 of 50 refits ran out and the
+        # bootstrap raised; at the base fit's budget none run out.
+        data = ragged_grouped(1, "two_covariates")
+        fit = fit_lqmm(data, 0.75, restarts=1)
+        with pytest.raises(NumericalError, match="of 50 bootstrap refits"):
+            bootstrap_fits(data, 0.75, B=50, seed=1, base_fit=fit, group_effects=False, max_fev=200 * 5)
+        boot = bootstrap_fits(data, 0.75, B=50, seed=1, base_fit=fit, group_effects=False)
+        assert boot.n_dropped == 0
+
+    def test_refits_converged_under_a_lower_cap_are_unchanged(self):
+        # The cap only stops a refit, so one that converges under it takes
+        # the same path under a higher cap.
+        data = ragged_grouped(1, "two_covariates")
+        fit = fit_lqmm(data, 0.5, restarts=1)
+        theta0 = _theta(fit.gamma, max(fit.psi2, qm.PSI2_START), fit.sigma, True)
+        ws = _Workspace(data)
+        draws = resamples(ws, 1, 20)
+        *low, kept = lockstep_refits(ws, draws, theta0, 200 * theta0.size, True)
+        *high, converged = lockstep_refits(ws, draws, theta0, qm.MAX_FEV_PER_PARAM * theta0.size, True)
+        assert 0 < kept.sum() < len(draws) and converged[kept].all()
+        for a, b in zip(low, high):  # gamma, psi2, sigma, u and loglik
+            assert np.array_equal(a[kept], b[kept])
+
     def test_group_modes_come_from_the_first_copy_in_label_order(self, monkeypatch):
         # Replicate 0 of seed 19 draws group r9 twice, as copies r9~3 and
         # r9~12. "r9~12" sorts first, so its mode is the one kept. Copies
@@ -749,9 +774,10 @@ def resamples(ws, seed, k):
 def ragged_grouped(seed, design, J=10):
     """Groups of 2-9 rows with uneven weights.
 
-    The design is a group-level covariate ("covariate"), two cells
-    ("two_cell"), or a covariate that varies within every third group and
-    is group-level in the others ("partly_mixed").
+    The design is a group-level covariate ("covariate"), two of them
+    ("two_covariates"), two cells ("two_cell"), or a covariate that varies
+    within every third group and is group-level in the others
+    ("partly_mixed").
     """
     rng = np.random.default_rng(seed)
     z, X, group, weights = [], [], [], {}
@@ -760,11 +786,14 @@ def ragged_grouped(seed, design, J=10):
         weights[g] = float(rng.uniform(0.5, 2.0))
         u = rng.normal(0.0, 0.05)
         covariate = float(rng.uniform())
+        second = float(rng.uniform()) if design == "two_covariates" else None
         for _ in range(int(rng.integers(2, 10))):
             cell = int(design == "two_cell" and rng.random() < 0.5)
             z.append(float(np.clip(0.3 + 0.2 * cell + u + rng.normal(0.0, 0.1), 0.0, 1.0)))
             if design == "two_cell":
                 X.append([1.0 - cell, float(cell)])
+            elif design == "two_covariates":
+                X.append([1.0, covariate, second])
             else:
                 X.append([1.0, float(rng.uniform()) if design == "partly_mixed" and j % 3 == 0 else covariate])
             group.append(g)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latindex.sae_ebp as sae_ebp
 from latindex.errors import ValidationError
 from latindex.sae_ebp import (
     NestedErrorFit,
@@ -366,6 +369,59 @@ class TestEbpIndicator:
         for i, d in enumerate(res.domains):
             assert res.estimate[i] == float(np.median(census[d]))
 
+    @pytest.mark.parametrize("statistic", ["median", "mean", 0.25])
+    @pytest.mark.parametrize("B", [1, 2, 7])
+    def test_matches_per_replicate_reference(self, B, statistic):
+        # Replicate b's statistic is that of simulate_census(seed=(s, b));
+        # the estimate is their mean over b and mc_sd their standard
+        # deviation (ddof 1) over sqrt(B). The fully sampled domain p1
+        # reports its direct statistic; the unsampled p0 is simulated.
+        rng = np.random.default_rng(89)
+        sample, frame = tiny_world(rng)
+        fit = fit_nested_error(sample)
+        res = ebp_indicator(fit, frame, sample, statistic=statistic, B=B, seed=21)
+        stat = {"median": np.median, "mean": np.mean}.get(statistic, lambda v: np.quantile(v, statistic))
+        censuses = [simulate_census(fit, frame, sample, seed=(21, b)) for b in range(B)]
+        per = np.array([[stat(census[d]) for census in censuses] for d in res.domains])
+        estimate = per.mean(axis=1)
+        mc_sd = per.std(axis=1, ddof=1) / math.sqrt(B) if B > 1 else np.zeros(len(res.domains))
+        i = res.domains.index("p1")
+        estimate[i], mc_sd[i] = per[i, 0], 0.0
+        assert np.array_equal(res.estimate, estimate)
+        assert np.array_equal(res.mc_sd, mc_sd)
+
+    @pytest.mark.parametrize("statistic", ["median", "mean", 0.25])
+    def test_chunk_does_not_change_results(self, monkeypatch, statistic):
+        # Blocks of one replicate, of about three, and of all B.
+        rng = np.random.default_rng(97)
+        sample, frame = tiny_world(rng)
+        fit = fit_nested_error(sample)
+        M = 20  # every domain of tiny_world has 20 population units
+        blocks = []
+        statistic_fn = sae_ebp._statistic_fn
+
+        def spy(statistic):
+            stat, name = statistic_fn(statistic)
+
+            def recorded(v, axis=None):
+                if axis is not None:
+                    blocks[-1].append(v.shape[0])
+                return stat(v, axis=axis)
+
+            return recorded, name
+
+        monkeypatch.setattr(sae_ebp, "_statistic_fn", spy)
+        runs = []
+        for cap in (1, 3 * M, 40 * M):
+            monkeypatch.setattr(sae_ebp, "_CHUNK", cap)
+            blocks.append([])
+            runs.append(ebp_indicator(fit, frame, sample, statistic=statistic, B=40, seed=6))
+        one, three, whole = blocks
+        assert set(one) == {1} and set(three) == {3, 1} and set(whole) == {40}
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].estimate, other.estimate)
+            assert np.array_equal(runs[0].mc_sd, other.mc_sd)
+
     def test_single_replicate_is_deterministic(self):
         rng = np.random.default_rng(63)
         sample, frame = tiny_world(rng)
@@ -422,6 +478,24 @@ class TestEbpIndicator:
         fit = fit_nested_error(sample)
         with pytest.raises(ValidationError, match="p3"):
             ebp_indicator(fit, bad, sample, B=2, seed=0)
+
+
+@given(
+    world=st.integers(0, 2**16),
+    B=st.integers(1, 60),
+    seed=st.integers(0, 2**63 - 1),
+    statistic=st.sampled_from(["median", "mean", 0.25, 0.9]),
+)
+@settings(max_examples=40, deadline=None)
+def test_fully_sampled_domain_is_direct_for_any_B_and_seed(world, B, seed, statistic):
+    sample, frame = tiny_world(np.random.default_rng(world))
+    fit = fit_nested_error(sample)
+    res = ebp_indicator(fit, frame, sample, statistic=statistic, B=B, seed=seed)
+    y = sample.y[np.asarray(sample.domain, dtype=object) == "p1"]
+    direct = {"median": np.median, "mean": np.mean}.get(statistic, lambda v: np.quantile(v, statistic))(y)
+    i = res.domains.index("p1")
+    assert res.estimate[i] == direct
+    assert res.mc_sd[i] == 0.0
 
 
 class TestEbpDominance:
