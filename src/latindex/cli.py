@@ -15,10 +15,11 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, tau_tag
 from .errors import NumericalError, ValidationError
 from .features import (
     DEFAULT_LAMBDAS,
@@ -72,6 +73,13 @@ def write_item_matrix(matrix: ResponseMatrix, path) -> None:
     write_delimited(path, header, rows)
 
 
+def _number(value: str, path, lineno: int, column: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValidationError(f"{path}:{lineno}: column {column!r} is not a number: {value!r}") from None
+
+
 def read_item_matrix(path) -> ResponseMatrix:
     header, rows = read_delimited(path, required=("unit_id", "weight"))
     item_names = [c for c in header if c not in ("unit_id", "weight")]
@@ -81,10 +89,10 @@ def read_item_matrix(path) -> ResponseMatrix:
     unit_ids = []
     for i, row in enumerate(rows):
         unit_ids.append(row["unit_id"])
-        weights[i] = float(row["weight"])
+        weights[i] = _number(row["weight"], path, i + 2, "weight")
         for j, name in enumerate(item_names):
             if row[name] != "":
-                responses[i, j] = float(row[name])
+                responses[i, j] = _number(row[name], path, i + 2, name)
     return ResponseMatrix(
         responses=responses, unit_ids=unit_ids, item_names=item_names, weights=weights
     )
@@ -111,18 +119,13 @@ def cmd_features(config: PipelineConfig) -> int:
     dataset = load_survey(config.survey_path, provinces)
     f_by_province = {p: info.f_p for p, info in provinces.items()}
     rates = foreign_rate(dataset, f_by_province)
-    base = None
-    if config.flags.quantile_base == "counts":
-        base = f_by_province
-    matrix = build_item_matrix(dataset, rates, DEFAULT_LAMBDAS, base)
+    matrix = build_item_matrix(dataset, rates, DEFAULT_LAMBDAS)
     write_item_matrix(matrix, _out(config, "items.csv"))
 
-    order = sorted(provinces)
-    prov = np.asarray(dataset.province, dtype=object)
-    rows = []
-    for p in order:
-        n_p = int((prov == p).sum())
-        rows.append([p, str(n_p), fmt17(provinces[p].f_p), fmt17(rates[p])])
+    n_sampled = Counter(dataset.province)
+    rows = [
+        [p, str(n_sampled[p]), fmt17(provinces[p].f_p), fmt17(rates[p])] for p in sorted(provinces)
+    ]
     write_delimited(
         _out(config, "province_features.csv"),
         ("province", "n_sampled", "f_p", "foreign_rate"),
@@ -132,7 +135,7 @@ def cmd_features(config: PipelineConfig) -> int:
     degenerate = ", ".join(matrix.degenerate_items) if matrix.degenerate_items else "none"
     print(
         f"validated {dataset.n_units} units across "
-        f"{len(set(dataset.province))} provinces; items: {matrix.n_items}; "
+        f"{len(n_sampled)} provinces; items: {matrix.n_items}; "
         f"degenerate items: {degenerate}"
     )
     return EXIT_OK
@@ -170,6 +173,8 @@ def _load_scores_for(dataset_units, path):
             scores = scores_from_json(fh.read())
     except FileNotFoundError:
         raise ValidationError("missing fit-ltm output (run the fit-ltm stage first)") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed scores file: {exc!r}") from None
     if tuple(scores.unit_ids) != tuple(dataset_units):
         raise ValidationError(
             "scores.json units do not match the survey file (rerun features/fit-ltm)"
@@ -294,7 +299,7 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
             seed=config.lqmm.seed + idx,
             base_fit=fit,
         )
-        tag = f"{tau:g}"
+        tag = tau_tag(tau)
         rows = []
         for j, term in enumerate(("private", "public")):
             rows.append(
@@ -366,8 +371,12 @@ def cmd_report(config: PipelineConfig) -> int:
     ebp_path = _out(config, "ebp_provinces.csv")
     if not os.path.exists(ebp_path):
         raise ValidationError("missing fit-ebp output (run the fit-ebp stage first)")
-    _, ebp_rows = read_delimited(ebp_path, required=("domain", "estimate", "estimate_clamped"))
+    _, ebp_rows = read_delimited(ebp_path, required=("domain", "estimate", "estimate_clamped", "mc_sd"))
     ebp_by_province = {r["domain"]: r for r in ebp_rows}
+    estimates = {
+        r["domain"]: _number(r["estimate"], ebp_path, lineno, "estimate")
+        for lineno, r in enumerate(ebp_rows, start=2)
+    }
 
     med = province_summary(
         scores.scaled, dataset, "median", provinces, weighted=config.flags.weighted_summaries
@@ -409,7 +418,7 @@ def cmd_report(config: PipelineConfig) -> int:
                 ebp["mc_sd"],
                 "missing" if math.isnan(m) else fmt3(m),
                 "missing" if math.isnan(q) else fmt3(q),
-                fmt3(float(ebp["estimate"])),
+                fmt3(estimates[p]),
             ]
         )
     write_delimited(_out(config, "report.csv"), header, rows)

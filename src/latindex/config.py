@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ValidationError
@@ -19,6 +20,11 @@ from .serialize import to_json_text
 # The fewest units the fixture's sample allocation fits: 12 in the
 # saturated province and 2 in each of the other 108 sampled provinces.
 MIN_SIMULATED_UNITS = 228
+
+
+def tau_tag(tau: float) -> str:
+    """The tau in fit-lqmm's output file names."""
+    return f"{tau:g}"
 
 
 def _is_int(value) -> bool:
@@ -60,7 +66,6 @@ class LqmmSettings:
 class Flags:
     reml: bool = False
     weighted_summaries: bool = False
-    quantile_base: str = "rates"  # "rates" | "counts" sensitivity switch
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,9 @@ class PipelineConfig:
             raise ValidationError("lqmm.taus must list at least one quantile level")
         if not all(0.0 < t < 1.0 for t in self.lqmm.taus):
             raise ValidationError("every tau must lie strictly inside (0, 1)")
+        shared = sorted(tag for tag, c in Counter(map(tau_tag, self.lqmm.taus)).items() if c > 1)
+        if shared:
+            raise ValidationError(f"lqmm.taus share the output file tag(s) {', '.join(shared)}")
         if not (_is_number(self.em.tol) and self.em.tol > 0):
             raise ValidationError("em.tol must be a finite number > 0")
         if not (_is_number(self.em.ridge) and self.em.ridge >= 0):
@@ -106,8 +114,6 @@ class PipelineConfig:
         ):
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
                 raise ValidationError(f"{name} must be {kinds[kind]}")
-        if self.flags.quantile_base not in ("rates", "counts"):
-            raise ValidationError("flags.quantile_base must be 'rates' or 'counts'")
         if self.ebp.statistic not in ("median", "mean") and not (
             isinstance(self.ebp.statistic, float) and 0 < self.ebp.statistic < 1
         ):

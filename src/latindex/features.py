@@ -356,7 +356,6 @@ def build_item_matrix(
     dataset: SurveyDataset,
     rates: dict[str, float],
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-    base_values: dict[str, float] | None = None,
 ) -> ResponseMatrix:
     """Assemble the binary item matrix: territorial indicators then raw items.
 
@@ -368,7 +367,7 @@ def build_item_matrix(
     columns: list[np.ndarray] = []
     names: list[str] = []
     for lam in lambdas:
-        flags = foreign_indicator(rates, lam, base_values)
+        flags = foreign_indicator(rates, lam)
         col = np.array([float(flags[p]) for p in dataset.province])
         columns.append(col)
         names.append(f"foreign_{lam:g}")

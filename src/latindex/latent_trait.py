@@ -323,10 +323,10 @@ def em_fit(
     improves by less than tol or max_iter is reached; non-convergence is
     reported on the fit, not raised.
 
-    Weights are normalized internally to mean one so that rescaling all
-    weights by a positive constant reproduces the identical fit; the
-    reported log-likelihood uses the raw weights. The stopping tolerance
-    therefore applies on the mean-weight-one scale.
+    Weights are normalized internally to mean one: rescaling all weights by
+    a power of two reproduces the identical fit, while other factors round
+    the normalization, which can move where EM stops by up to a few 1e-7.
+    The reported log-likelihood uses the raw weights; tol is on the mean-one scale.
 
     Raises DegenerateItemError when an item has no observed 0 or no
     observed 1 (naming the item).

@@ -20,7 +20,9 @@ random-effect variance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
@@ -81,11 +83,8 @@ class SampleData:
     def n_units(self) -> int:
         return self.y.shape[0]
 
-    def domain_sizes(self) -> dict[str, int]:
-        sizes: dict[str, int] = {}
-        for d in self.domain:
-            sizes[d] = sizes.get(d, 0) + 1
-        return sizes
+    def domain_sizes(self) -> Counter[str]:
+        return Counter(self.domain)
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,7 @@ class PopulationFrame:
             raise ValidationError("domain labels must match the number of frame rows")
         if not np.all(np.isfinite(X_r)):
             raise ValidationError("frame covariates must be finite")
-        counts: dict[str, int] = {}
-        for d in self.domain:
-            counts[d] = counts.get(d, 0) + 1
-        for d, c in counts.items():
+        for d, c in Counter(self.domain).items():
             if d not in self.domain_sizes_pop:
                 raise ValidationError(f"frame rows reference unknown domain {d!r}")
             if c > self.domain_sizes_pop[d]:
@@ -227,10 +223,7 @@ def _check_full_rank(X: np.ndarray, column_names: tuple[str, ...] | None) -> Non
     rank = int((diag > tol).sum())
     if rank < X.shape[1]:
         bad = sorted(piv[rank:])
-        if column_names is not None:
-            names = ", ".join(column_names[j] for j in bad)
-        else:
-            names = ", ".join(str(j) for j in bad)
+        names = ", ".join(str(j) if column_names is None else column_names[j] for j in bad)
         raise ValidationError(f"design matrix is rank deficient; collinear column(s): {names}")
 
 
@@ -248,57 +241,55 @@ def _domain_rows(domain: tuple[str, ...]) -> dict[str, np.ndarray]:
     return {str(dom[rows[0]]): rows for rows in np.split(order, cuts)}
 
 
+def _in_order(terms: np.ndarray):
+    """Sum along axis 0, strictly first to last: cumsum never reorders its
+    additions, while numpy may reorder a reduction when the trailing axes are small."""
+    return np.cumsum(terms, axis=0)[-1]
+
+
 class _ProfileWorkspace:
-    """Per-domain cross-products reused across profile evaluations."""
+    """Per-domain cross-products stacked in sorted domain order: XtX (K, P, P),
+    Xty and the column sums s (K, P), the response sums ty and the sizes (K,)."""
 
     def __init__(self, sample: SampleData):
         self.n, self.P = sample.X.shape
         self.rows = _domain_rows(sample.domain)
+        parts = [(sample.X[rows], sample.y[rows]) for rows in self.rows.values()]
         self.sizes = np.array([rows.size for rows in self.rows.values()])
-        self.XtX = []
-        self.Xty = []
-        self.s = []  # column sums of X per domain
-        self.ty = []  # sum of y per domain
-        for rows in self.rows.values():
-            Xp, yp = sample.X[rows], sample.y[rows]
-            self.XtX.append(Xp.T @ Xp)
-            self.Xty.append(Xp.T @ yp)
-            self.s.append(Xp.sum(axis=0))
-            self.ty.append(float(yp.sum()))
+        self.XtX = np.array([Xp.T @ Xp for Xp, _ in parts])
+        self.Xty = np.array([Xp.T @ yp for Xp, yp in parts])
+        self.s = np.array([Xp.sum(axis=0) for Xp, _ in parts])
+        self.ss = self.s[:, :, None] * self.s[:, None, :]  # outer(s_k, s_k)
+        ty = [float(yp.sum()) for _, yp in parts]
+        self.ty = np.array(ty)
+        # Python's t ** 2 (libm pow) rounds a few squares differently from
+        # numpy's exact t * t; the profile keeps the former.
+        self.ty2 = np.array([t**2 for t in ty])
         y = sample.y[np.concatenate(list(self.rows.values()))]
         self.yty = float(y @ y)
 
-    def gls(self, rho: float) -> tuple[np.ndarray, float, float]:
-        """(beta, weighted RSS, sum log det factor) at variance ratio rho."""
-        A = np.zeros((self.P, self.P))
-        b = np.zeros(self.P)
-        yty = self.yty
-        logdet = 0.0
-        for k, N in enumerate(self.sizes):
-            a = rho / (1.0 + rho * N)
-            A += self.XtX[k] - a * np.outer(self.s[k], self.s[k])
-            b += self.Xty[k] - a * self.s[k] * self.ty[k]
-            yty -= a * self.ty[k] ** 2
-            logdet += math.log1p(rho * N)
+    def gls(self, rho: float) -> tuple[np.ndarray, float, float, np.ndarray]:
+        """(beta, weighted RSS, sum log det factor, X'V^-1 X) at variance ratio rho."""
+        a = rho / (1.0 + rho * self.sizes)
+        A = _in_order(self.XtX - a[:, None, None] * self.ss)
+        b = _in_order(self.Xty - a[:, None] * self.s * self.ty[:, None])
+        yty = float(_in_order(np.concatenate(([self.yty], -a * self.ty2))))
+        logdet = float(_in_order(np.fromiter(map(math.log1p, (rho * self.sizes).tolist()), float)))
         beta = np.linalg.solve(A, b)
         rss = yty - 2.0 * float(beta @ b) + float(beta @ A @ beta)
-        self._A = A
-        return beta, max(rss, 0.0), logdet
+        return beta, max(rss, 0.0), logdet, A
 
-    def profile_ml(self, rho: float) -> float:
-        _, rss, logdet = self.gls(rho)
+    def profile(self, rho: float, reml: bool) -> float:
+        """Profile log-likelihood, restricted when reml, at variance ratio rho."""
+        _, rss, logdet, A = self.gls(rho)
         if rss <= 0:
             return -math.inf
-        s2e = rss / self.n
-        return -0.5 * (self.n * math.log(2 * math.pi) + self.n * math.log(s2e) + logdet + self.n)
-
-    def profile_reml(self, rho: float) -> float:
-        _, rss, logdet = self.gls(rho)
-        if rss <= 0:
-            return -math.inf
+        if not reml:
+            s2e = rss / self.n
+            return -0.5 * (self.n * math.log(2 * math.pi) + self.n * math.log(s2e) + logdet + self.n)
         dof = self.n - self.P
         s2e = rss / dof
-        sign, logdet_A = np.linalg.slogdet(self._A)
+        sign, logdet_A = np.linalg.slogdet(A)
         if sign <= 0:
             return -math.inf
         return -0.5 * (dof * (math.log(2 * math.pi) + math.log(s2e) + 1.0) + logdet + logdet_A)
@@ -317,12 +308,11 @@ def fit_nested_error(sample: SampleData, *, reml: bool = False) -> NestedErrorFi
     Raises ValidationError for rank-deficient designs (naming the
     collinear columns) and for fewer than 2 domains with 2+ units.
     """
-    ws = _ProfileWorkspace(sample)
-    if int((ws.sizes >= 2).sum()) < 2:
+    if sum(size >= 2 for size in sample.domain_sizes().values()) < 2:
         raise ValidationError("need at least 2 domains with at least 2 units each")
     _check_full_rank(sample.X, sample.column_names)
-
-    objective = ws.profile_reml if reml else ws.profile_ml
+    ws = _ProfileWorkspace(sample)
+    objective = partial(ws.profile, reml=reml)
 
     grid = np.concatenate([[-math.inf], np.linspace(-16.0, 16.0, 65)])
     vals = [objective(0.0 if not math.isfinite(t) else math.exp(t)) for t in grid]
@@ -337,20 +327,16 @@ def fit_nested_error(sample: SampleData, *, reml: bool = False) -> NestedErrorFi
         if objective(rho_hat) < vals[0]:
             rho_hat = 0.0
 
-    beta, rss, _ = ws.gls(rho_hat)
+    beta, rss, _, _ = ws.gls(rho_hat)
     dof = ws.n - ws.P if reml else ws.n
     s2e = rss / dof
     s2u = rho_hat * s2e
     boundary = rho_hat == 0.0
 
     # Per-domain shrinkage and conditional effects from raw residuals.
-    gamma: dict[str, float] = {}
-    u_hat: dict[str, float] = {}
     resid = sample.y - sample.X @ beta
-    for d, rows in ws.rows.items():
-        g = shrinkage_gamma(s2u, s2e, rows.size) if s2e > 0 else 0.0
-        gamma[d] = g
-        u_hat[d] = g * float(resid[rows].mean())
+    gamma = {d: shrinkage_gamma(s2u, s2e, rows.size) if s2e > 0 else 0.0 for d, rows in ws.rows.items()}
+    u_hat = {d: gamma[d] * float(resid[rows].mean()) for d, rows in ws.rows.items()}
 
     loglik = marginal_loglik(sample, beta, s2u, s2e)
     return NestedErrorFit(
@@ -399,14 +385,12 @@ def _validate_pair(sample: SampleData, frame: PopulationFrame) -> None:
         raise ValidationError(
             "sampled domain(s) absent from the population frame: " + ", ".join(missing)
         )
-    counts: dict[str, int] = {}
-    for d in frame.domain:
-        counts[d] = counts.get(d, 0) + 1
+    counts = Counter(frame.domain)
     for d, M in frame.domain_sizes_pop.items():
-        if sizes.get(d, 0) + counts.get(d, 0) != M:
+        if sizes[d] + counts[d] != M:
             raise ValidationError(
-                f"domain {d!r}: sampled ({sizes.get(d, 0)}) plus frame rows "
-                f"({counts.get(d, 0)}) must equal the population size ({M})"
+                f"domain {d!r}: sampled ({sizes[d]}) plus frame rows "
+                f"({counts[d]}) must equal the population size ({M})"
             )
 
 

@@ -69,6 +69,8 @@ class TestShowConfig:
             '{"flags": {"weighted_summaries": 1}}',
             '{"ebp": {"rescale_estimates": null}}',
             '{"output_dir": 5}',
+            '{"lqmm": {"taus": [0.25, 0.25]}}',
+            '{"lqmm": {"taus": [0.5, 0.5000001]}}',
         ],
         ids=[
             "truncated-json",
@@ -89,6 +91,8 @@ class TestShowConfig:
             "int-weighted-summaries-flag",
             "null-rescale-estimates-flag",
             "int-output-dir",
+            "repeated-tau",
+            "taus-sharing-a-file-tag",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, text):
@@ -96,6 +100,19 @@ class TestShowConfig:
         path.write_text(text)
         assert cli.main(["show-config", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("validation error: ")
+
+    def test_taus_sharing_a_file_tag_are_named(self, tmp_path, capsys):
+        # fit-lqmm names its files by f"{tau:g}": these two would write one set.
+        path = tmp_path / "bad.json"
+        path.write_text('{"lqmm": {"taus": [0.25, 0.5, 0.5000001]}}')
+        assert cli.main(["show-config", "--config", str(path)]) == 2
+        assert "file tag(s) 0.5\n" in capsys.readouterr().err
+
+    def test_removed_quantile_base_flag_is_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text('{"flags": {"quantile_base": "rates"}}')
+        assert cli.main(["show-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "validation error: unknown config key(s): quantile_base\n"
 
 
 class TestSimulateAndFeatures:
@@ -264,6 +281,54 @@ class TestFitStages:
         assert by_p["p110"]["ebp_estimate"] != "missing"
         # Saturated province: direct and EBP medians coincide exactly.
         assert by_p["p001"]["direct_median"] == by_p["p001"]["ebp_estimate"]
+
+    @staticmethod
+    def corrupt(path, line, column, value):
+        """Set one field of a comma-delimited file (line 1 is the header)."""
+        lines = open(path).read().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split(",")
+        fields = lines[line - 1].rstrip("\n").split(",")
+        fields[header.index(column)] = value
+        lines[line - 1] = ",".join(fields) + "\n"
+        open(path, "w").writelines(lines)
+
+    def assert_validation_error(self, capsys, *names):
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "Traceback" not in err
+        for name in names:
+            assert name in err
+
+    def test_truncated_scores_exit_2(self, after_ltm, capsys):
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "scores.json")
+        text = open(path).read()
+        open(path, "w").write(text[: len(text) // 2])
+        assert run("fit-ebp", after_ltm) == 2
+        self.assert_validation_error(capsys, path)
+
+    def test_non_numeric_item_weight_exits_2_naming_the_line(self, after_ltm, capsys):
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "items.csv")
+        self.corrupt(path, 4, "weight", "heavy")
+        assert run("fit-ltm", after_ltm) == 2
+        self.assert_validation_error(capsys, f"{path}:4", "'weight'", "'heavy'")
+
+    def test_non_numeric_ebp_estimate_exits_2_naming_the_line(self, after_ltm, capsys):
+        assert run("fit-ebp", after_ltm) == 0
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "ebp_provinces.csv")
+        self.corrupt(path, 3, "estimate", "n/a")
+        assert run("report", after_ltm) == 2
+        self.assert_validation_error(capsys, f"{path}:3", "'estimate'", "'n/a'")
+
+    def test_ebp_table_without_mc_sd_exits_2(self, after_ltm, capsys):
+        assert run("fit-ebp", after_ltm) == 0
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "ebp_provinces.csv")
+        lines = open(path).read().splitlines(keepends=True)
+        open(path, "w").writelines(",".join(line.split(",")[:3]) + "\n" for line in lines)
+        assert run("report", after_ltm) == 2
+        self.assert_validation_error(capsys, path, "mc_sd")
 
     def test_report_without_ebp_exits_2(self, after_ltm, capsys):
         assert run("report", after_ltm) == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latindex.errors import DegenerateItemError, DegenerateScaleError, ValidationError
 from latindex.latent_trait import (
@@ -458,3 +460,54 @@ class TestSerialization:
         np.testing.assert_array_equal(back.raw, scores.raw)
         np.testing.assert_array_equal(back.scaled, scores.scaled)
         assert back.unit_ids == scores.unit_ids
+
+
+# ---------------------------------------------------------------------------
+# Stated invariants as properties.
+# ---------------------------------------------------------------------------
+
+RESCALE_DATA, _ = simulate_responses(
+    ItemParameters(beta0=[0.4, -0.6], beta1=[1.2, 0.9]), n=400, seed=21
+)
+
+
+def rescaled_fit(factor):
+    data = RESCALE_DATA
+    scaled = ResponseMatrix(
+        responses=data.responses,
+        unit_ids=data.unit_ids,
+        item_names=data.item_names,
+        weights=data.weights * factor,
+    )
+    return em_fit(scaled, quadrature_order=21)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-20, 20).filter(bool))
+def test_em_fit_is_identical_under_power_of_two_weight_factors(k):
+    # Scaling by 2**k is exact, so the mean-one normalization undoes it bit for bit.
+    base, fit = rescaled_fit(1.0), rescaled_fit(2.0**k)
+    assert np.array_equal(fit.params.beta0, base.params.beta0)
+    assert np.array_equal(fit.params.beta1, base.params.beta1)
+    assert fit.log_likelihood == 2.0**k * base.log_likelihood
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=st.floats(0.01, 100.0))
+def test_em_fit_agrees_under_any_positive_weight_factor(factor):
+    # Other factors round the normalization; on this draw beta moves by at most about 2e-8.
+    base, fit = rescaled_fit(1.0), rescaled_fit(factor)
+    np.testing.assert_allclose(fit.params.beta0, base.params.beta0, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(fit.params.beta1, base.params.beta1, rtol=0, atol=1e-7)
+    assert fit.log_likelihood == pytest.approx(factor * base.log_likelihood, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    raw=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40).filter(lambda v: max(v) - min(v) >= 1.0),
+    a=st.floats(0.01, 100.0),
+    b=st.floats(-100.0, 100.0),
+)
+def test_scale_scores_is_invariant_to_positive_affine_maps(raw, a, b):
+    raw = np.array(raw)
+    np.testing.assert_allclose(scale_scores(a * raw + b), scale_scores(raw), rtol=0, atol=1e-9)

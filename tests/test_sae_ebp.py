@@ -52,6 +52,79 @@ def dense_mvn_loglik(sample: SampleData, beta, s2u, s2e) -> float:
     return -0.5 * (n * math.log(2 * math.pi) + logdet + quad)
 
 
+def reference_gls(sample: SampleData, rho: float):
+    """The profile's GLS pieces from one Python loop over the domains in sorted order."""
+    rows = sae_ebp._domain_rows(sample.domain)
+    P = sample.X.shape[1]
+    A = np.zeros((P, P))
+    b = np.zeros(P)
+    y = sample.y[np.concatenate(list(rows.values()))]
+    yty = float(y @ y)
+    logdet = 0.0
+    for r in rows.values():
+        Xp, yp, N = sample.X[r], sample.y[r], r.size
+        s, ty = Xp.sum(axis=0), float(yp.sum())
+        a = rho / (1.0 + rho * N)
+        A += Xp.T @ Xp - a * np.outer(s, s)
+        b += Xp.T @ yp - a * s * ty
+        yty -= a * ty**2
+        logdet += math.log1p(rho * N)
+    beta = np.linalg.solve(A, b)
+    rss = yty - 2.0 * float(beta @ b) + float(beta @ A @ beta)
+    return beta, max(rss, 0.0), logdet, A
+
+
+@st.composite
+def continuous_designs(draw):
+    """Unclipped samples with 1-5 continuous columns and domain sizes 1-11."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    P = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 11), min_size=3, max_size=12))
+    sizes[0], sizes[1] = max(sizes[0], 2), max(sizes[1], 2)
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    X = rng.normal(size=(n, P)) * rng.uniform(0.1, 10.0, size=P)
+    u = np.repeat(rng.normal(0.0, 0.3, size=len(sizes)), sizes)
+    y = X @ rng.normal(size=P) + u + rng.normal(0.0, 0.5, size=n)
+    domain = np.repeat([f"d{k:02d}" for k in rng.permutation(len(sizes))], sizes)
+    return SampleData(y=y, X=X, domain=domain, validate_support=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=continuous_designs())
+def test_stacked_gls_and_fits_equal_the_per_domain_loop(sample):
+    ws = sae_ebp._ProfileWorkspace(sample)
+    for rho in (0.0, 1e-9, 0.01, 0.7, 50.0, 1e7):
+        got, want = ws.gls(rho), reference_gls(sample, rho)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[3], want[3])
+        assert got[1:3] == want[1:3]
+    if sample.n_units <= sample.X.shape[1] + 1:
+        return
+    for reml in (False, True):
+        fit = fit_nested_error(sample, reml=reml)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sae_ebp._ProfileWorkspace, "gls", lambda self, rho: reference_gls(sample, rho))
+            ref = fit_nested_error(sample, reml=reml)
+        assert np.array_equal(fit.beta, ref.beta)
+        assert (fit.sigma2_u, fit.sigma2_e, fit.loglik, fit.boundary) == (
+            ref.sigma2_u, ref.sigma2_e, ref.loglik, ref.boundary)
+        assert fit.u_hat == ref.u_hat and fit.gamma == ref.gamma
+
+
+def test_gls_squares_response_sums_with_python_pow():
+    # Python's t ** 2 (libm pow) and numpy's t * t round a few squares
+    # differently; one-unit domains holding such responses show which one
+    # gls takes. It must take pow, as the per-domain reference loop does.
+    t = np.random.default_rng(5).uniform(size=100_000)
+    odd = t[[v**2 != v * v for v in t.tolist()]][:40]
+    if odd.size == 0:
+        pytest.skip("this platform's pow squares exactly")
+    sample = SampleData(y=odd, X=np.ones((odd.size, 1)), domain=[f"d{k:03d}" for k in range(odd.size)])
+    ws = sae_ebp._ProfileWorkspace(sample)
+    for rho in (0.01, 0.7, 50.0):
+        assert ws.gls(rho)[1] == reference_gls(sample, rho)[1]
+
+
 class TestShrinkageGamma:
     def test_hand_value(self):
         assert shrinkage_gamma(1.0, 1.0, 4) == 0.8
