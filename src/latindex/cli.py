@@ -24,6 +24,7 @@ from .errors import NumericalError, ValidationError
 from .features import (
     DEFAULT_LAMBDAS,
     ProvinceInfo,
+    _unit_province,
     build_item_matrix,
     encode_design,
     foreign_rate,
@@ -41,7 +42,7 @@ from .latent_trait import (
 )
 from .quantile_mixed import GroupedData, bootstrap_fits, fit_lqmm, predict_conditional, predict_marginal
 from .sae_ebp import PopulationFrame, SampleData, ebp_indicator, fit_nested_error
-from .serialize import fmt3, fmt17, read_delimited, write_delimited
+from .serialize import _binary_cells, fmt3, fmt17, read_delimited, write_delimited
 from .simulate import generate_fixture, write_fixture
 
 EXIT_OK = 0
@@ -63,38 +64,23 @@ def _out(config: PipelineConfig, name: str) -> str:
 
 def write_item_matrix(matrix: ResponseMatrix, path) -> None:
     header = ["unit_id", "weight", *matrix.item_names]
-    rows = []
-    for i in range(matrix.n_units):
-        row = [matrix.unit_ids[i], fmt17(matrix.weights[i])]
-        for j in range(matrix.n_items):
-            v = matrix.responses[i, j]
-            row.append("" if math.isnan(v) else str(int(v)))
-        rows.append(row)
+    rows = [
+        [matrix.unit_ids[i], fmt17(matrix.weights[i]), *_binary_cells(matrix.responses[i])]
+        for i in range(matrix.n_units)
+    ]
     write_delimited(path, header, rows)
-
-
-def _number(value: str, path, lineno: int, column: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{path}:{lineno}: column {column!r} is not a number: {value!r}") from None
 
 
 def read_item_matrix(path) -> ResponseMatrix:
     header, rows = read_delimited(path, required=("unit_id", "weight"))
     item_names = [c for c in header if c not in ("unit_id", "weight")]
-    n = len(rows)
-    responses = np.full((n, len(item_names)), np.nan)
-    weights = np.empty(n)
-    unit_ids = []
-    for i, row in enumerate(rows):
-        unit_ids.append(row["unit_id"])
-        weights[i] = _number(row["weight"], path, i + 2, "weight")
-        for j, name in enumerate(item_names):
-            if row[name] != "":
-                responses[i, j] = _number(row[name], path, i + 2, name)
+    n, p = len(rows), len(item_names)
+    cells = (row.binary(name) for row in rows for name in item_names)  # no per-row lists
     return ResponseMatrix(
-        responses=responses, unit_ids=unit_ids, item_names=item_names, weights=weights
+        responses=np.fromiter(cells, float, n * p).reshape(n, p),
+        unit_ids=[row["unit_id"] for row in rows],
+        item_names=item_names,
+        weights=[row.number("weight") for row in rows],
     )
 
 
@@ -198,13 +184,10 @@ def cmd_fit_ebp(config: PipelineConfig) -> int:
     _, frame_rows = read_delimited(
         config.frame_path, required=("unit_id", "province", "titularity", "service_type")
     )
+    f_reg = [_unit_province(r, provinces).region for r in frame_rows]
     f_prov = [r["province"] for r in frame_rows]
-    unknown = sorted(set(f_prov) - set(provinces))
-    if unknown:
-        raise ValidationError(f"frame references unknown province(s): {', '.join(unknown)}")
     f_tit = [r["titularity"] for r in frame_rows]
     f_srv = [r["service_type"] for r in frame_rows]
-    f_reg = [provinces[p].region for p in f_prov]
     X_r, _ = encode_design(f_tit, f_srv, f_reg, region_levels)
     if not frame_rows:
         X_r = np.zeros((0, X_s.shape[1]))
@@ -371,12 +354,13 @@ def cmd_report(config: PipelineConfig) -> int:
     ebp_path = _out(config, "ebp_provinces.csv")
     if not os.path.exists(ebp_path):
         raise ValidationError("missing fit-ebp output (run the fit-ebp stage first)")
-    _, ebp_rows = read_delimited(ebp_path, required=("domain", "estimate", "estimate_clamped", "mc_sd"))
-    ebp_by_province = {r["domain"]: r for r in ebp_rows}
-    estimates = {
-        r["domain"]: _number(r["estimate"], ebp_path, lineno, "estimate")
-        for lineno, r in enumerate(ebp_rows, start=2)
-    }
+    reported = ("domain", "estimate", "estimate_clamped", "mc_sd")
+    _, ebp_rows = read_delimited(ebp_path, required=reported)
+    ebp_by_province: dict[str, list[float]] = {}
+    for row in ebp_rows:
+        if row["domain"] in ebp_by_province:
+            row.fail(f"repeated domain {row['domain']!r}")
+        ebp_by_province[row["domain"]] = [row.number(c) for c in reported[1:]]
 
     med = province_summary(
         scores.scaled, dataset, "median", provinces, weighted=config.flags.weighted_summaries
@@ -402,9 +386,9 @@ def cmd_report(config: PipelineConfig) -> int:
         n_p = int(med.columns["n_sampled"][i])
         m = med.columns["median"][i]
         q = iqr.columns["iqr"][i]
-        ebp = ebp_by_province.get(p)
-        if ebp is None:
+        if p not in ebp_by_province:
             raise ValidationError(f"province {p!r} missing from the EBP table")
+        estimate, clamped, mc_sd = ebp_by_province[p]
         direct_median = "missing" if math.isnan(m) else fmt17(m)
         direct_iqr = "missing" if math.isnan(q) else fmt17(q)
         rows.append(
@@ -413,12 +397,12 @@ def cmd_report(config: PipelineConfig) -> int:
                 str(n_p),
                 direct_median,
                 direct_iqr,
-                ebp["estimate"],
-                ebp["estimate_clamped"],
-                ebp["mc_sd"],
+                fmt17(estimate),
+                fmt17(clamped),
+                fmt17(mc_sd),
                 "missing" if math.isnan(m) else fmt3(m),
                 "missing" if math.isnan(q) else fmt3(q),
-                fmt3(estimates[p]),
+                fmt3(estimate),
             ]
         )
     write_delimited(_out(config, "report.csv"), header, rows)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .latent_trait import ResponseMatrix
-from .serialize import fmt17, read_delimited, write_delimited
+from .serialize import Row, _binary_cells, fmt17, read_delimited, write_delimited
 
 # Raw binary item columns expected in the survey file, in output order
 # after the four derived territorial indicators.
@@ -116,35 +116,14 @@ class SurveyDataset:
 
 @dataclass(frozen=True)
 class ProvinceTable:
-    """Per-province table with missing markers for unsampled provinces.
+    """Per-province table.
 
-    columns maps a column name to one value per province (nan marks
-    missing); provinces fixes the row order.
+    columns maps a column name to one value per province (nan marks an
+    unsampled province); provinces fixes the row order.
     """
 
     provinces: tuple[str, ...]
     columns: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def to_rows(self) -> list[list[str]]:
-        rows = []
-        for i, p in enumerate(self.provinces):
-            row = [p]
-            for name in self.columns:
-                v = self.columns[name][i]
-                if isinstance(v, float) and math.isnan(v):
-                    row.append("missing")
-                elif isinstance(v, (int, np.integer)):
-                    row.append(str(int(v)))
-                else:
-                    row.append(fmt17(float(v)))
-            rows.append(row)
-        return rows
-
-    def header(self) -> list[str]:
-        return ["province"] + list(self.columns)
-
-    def write(self, path) -> None:
-        write_delimited(path, self.header(), self.to_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +135,16 @@ def load_provinces(path) -> dict[str, ProvinceInfo]:
     """Read the companion province file (id, nesting, f_p, frame size)."""
     _, rows = read_delimited(path, required=PROVINCE_COLUMNS)
     out: dict[str, ProvinceInfo] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
         pid = row["province_id"]
         if pid in out:
-            raise ValidationError(f"{path}:{lineno}: duplicate province {pid!r}")
-        try:
-            f_p = float(row["f_p"])
-            pop = int(row["population_units"])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            row.fail(f"duplicate province {pid!r}")
+        f_p = row.number("f_p")
+        pop = row.integer("population_units")
         if f_p <= 0:
-            raise ValidationError(
-                f"{path}:{lineno}: province {pid!r} must have a positive resident count"
-            )
+            row.fail(f"province {pid!r} must have a positive resident count")
         if pop < 0:
-            raise ValidationError(f"{path}:{lineno}: negative population size")
+            row.fail("negative population size")
         out[pid] = ProvinceInfo(
             province=pid, region=row["region"], macro_area=row["macro_area"],
             f_p=f_p, population_units=pop,
@@ -180,103 +154,78 @@ def load_provinces(path) -> dict[str, ProvinceInfo]:
     return out
 
 
-def _parse_binary(value: str, path, lineno: int, column: str) -> float:
-    if value == "":
-        return math.nan
-    if value == "0":
-        return 0.0
-    if value == "1":
-        return 1.0
-    raise ValidationError(
-        f"{path}:{lineno}: column {column!r} must be 0, 1 or empty, got {value!r}"
+def _unit_province(row: Row, provinces: dict[str, ProvinceInfo] | None) -> ProvinceInfo | None:
+    """Check the cells a survey row and a frame row share; return the row's province.
+
+    Without a province map (a survey read on its own) the province is not
+    looked up and None is returned.
+    """
+    info = None
+    if provinces is not None:
+        info = provinces.get(row["province"])
+        if info is None:
+            row.fail(f"province {row['province']!r} not in the province file")
+    for column, levels in (("titularity", TITULARITY_LEVELS), ("service_type", SERVICE_TYPE_LEVELS)):
+        if row[column] not in levels:
+            row.fail(f"unknown {column} {row[column]!r}")
+    return info
+
+
+def _survey_record(row: Row, provinces: dict[str, ProvinceInfo] | None) -> tuple:
+    """One survey row parsed in SURVEY_COLUMNS order; raises at its first problem."""
+    weight = row.number("sampling_weight")
+    if weight <= 0:
+        row.fail("sampling_weight must be positive")
+    count = row.number("foreign_enrolled_count")
+    if count < 0:
+        row.fail("foreign_enrolled_count must be nonnegative")
+    info = _unit_province(row, provinces)
+    if info is not None and (info.region, info.macro_area) != (row["region"], row["macro_area"]):
+        row.fail(
+            f"region/macro_area do not match the province file for province {row['province']!r}"
+        )
+    return (
+        row["unit_id"], row["province"], row["region"], row["macro_area"],
+        row["titularity"], row["service_type"], weight, count,
+        *[row.binary(name) for name in RAW_ITEMS],
     )
 
 
 def load_survey(path, provinces: dict[str, ProvinceInfo] | None = None) -> SurveyDataset:
     """Read and validate the unit-level survey file.
 
-    Every violated invariant is reported with its line number. When the
-    province map is given, each unit's province must exist in it and the
-    row's region/macro_area must match the map (the nesting hierarchy).
+    Every invalid row is reported with its line number (the first problem
+    of each, up to 20 rows). When the province map is given, each unit's
+    province must exist in it and the row's region/macro_area must match
+    the map (the nesting hierarchy).
     """
-    _, rows = read_delimited(path, required=SURVEY_COLUMNS)
-    if not rows:
-        raise ValidationError(f"{path}: no survey rows")
-
-    problems: list[str] = []
-    unit_id, province, region = [], [], []
-    macro_area, titularity, service_type = [], [], []
-    weights, counts = [], []
-    items: dict[str, list[float]] = {name: [] for name in RAW_ITEMS}
-
-    for lineno, row in enumerate(rows, start=2):
+    records, problems = [], []
+    # The rows are freed when the loop ends, before the columns are built.
+    for row in read_delimited(path, required=SURVEY_COLUMNS)[1]:
         try:
-            w = float(row["sampling_weight"])
-        except ValueError:
-            problems.append(f"{path}:{lineno}: sampling_weight is not a number")
-            continue
-        if not math.isfinite(w) or w <= 0:
-            problems.append(f"{path}:{lineno}: sampling_weight must be positive")
-            continue
-        try:
-            c = float(row["foreign_enrolled_count"])
-        except ValueError:
-            problems.append(f"{path}:{lineno}: foreign_enrolled_count is not a number")
-            continue
-        if c < 0:
-            problems.append(f"{path}:{lineno}: foreign_enrolled_count must be nonnegative")
-            continue
-        if provinces is not None:
-            info = provinces.get(row["province"])
-            if info is None:
-                problems.append(
-                    f"{path}:{lineno}: province {row['province']!r} not in the province file"
-                )
-                continue
-            if info.region != row["region"] or info.macro_area != row["macro_area"]:
-                problems.append(
-                    f"{path}:{lineno}: region/macro_area do not match the province file "
-                    f"for province {row['province']!r}"
-                )
-                continue
-        if row["titularity"] not in TITULARITY_LEVELS:
-            problems.append(f"{path}:{lineno}: unknown titularity {row['titularity']!r}")
-            continue
-        if row["service_type"] not in SERVICE_TYPE_LEVELS:
-            problems.append(f"{path}:{lineno}: unknown service_type {row['service_type']!r}")
-            continue
-        try:
-            vals = {name: _parse_binary(row[name], path, lineno, name) for name in RAW_ITEMS}
+            records.append(_survey_record(row, provinces))
         except ValidationError as exc:
             problems.append(str(exc))
-            continue
-
-        unit_id.append(row["unit_id"])
-        province.append(row["province"])
-        region.append(row["region"])
-        macro_area.append(row["macro_area"])
-        titularity.append(row["titularity"])
-        service_type.append(row["service_type"])
-        weights.append(w)
-        counts.append(c)
-        for name in RAW_ITEMS:
-            items[name].append(vals[name])
-
     if problems:
         shown = "\n".join(problems[:20])
         more = f"\n... and {len(problems) - 20} more" if len(problems) > 20 else ""
         raise ValidationError(f"survey file has {len(problems)} invalid row(s):\n{shown}{more}")
+    if not records:
+        raise ValidationError(f"{path}: no survey rows")
 
+    unit_id, province, region, macro_area, titularity, service_type, weights, counts, *items = zip(
+        *records
+    )
     return SurveyDataset(
-        unit_id=tuple(unit_id),
-        province=tuple(province),
-        region=tuple(region),
-        macro_area=tuple(macro_area),
-        titularity=tuple(titularity),
-        service_type=tuple(service_type),
-        sampling_weight=np.array(weights),
-        foreign_enrolled_count=np.array(counts),
-        items={name: np.array(col) for name, col in items.items()},
+        unit_id=unit_id,
+        province=province,
+        region=region,
+        macro_area=macro_area,
+        titularity=titularity,
+        service_type=service_type,
+        sampling_weight=weights,
+        foreign_enrolled_count=counts,
+        items=dict(zip(RAW_ITEMS, items)),
     )
 
 
@@ -294,9 +243,7 @@ def save_survey(dataset: SurveyDataset, path) -> None:
             fmt17(dataset.sampling_weight[i]),
             fmt17(dataset.foreign_enrolled_count[i]),
         ]
-        for name in RAW_ITEMS:
-            v = dataset.items[name][i]
-            row.append("" if math.isnan(v) else str(int(v)))
+        row.extend(_binary_cells([dataset.items[name][i] for name in RAW_ITEMS]))
         rows.append(row)
     write_delimited(path, SURVEY_COLUMNS, rows)
 

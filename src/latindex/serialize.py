@@ -9,9 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 
 def fmt17(x: float) -> str:
@@ -38,27 +38,83 @@ def write_delimited(path, header: Sequence[str], rows: Iterable[Sequence[str]]) 
             writer.writerow(list(row))
 
 
-def read_delimited(path, required: Sequence[str] | None = None) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a delimited file into (header, row dicts), checking required columns."""
+class Row(dict):
+    """One record of a delimited file: its cells by column name, and where it came from.
+
+    ``line`` is the physical line the record starts on, so skipped blank
+    lines and quoted newlines count. Every cell check goes through
+    ``fail``, which names the file and that line.
+    """
+
+    __slots__ = ("path", "line")
+
+    def __init__(self, cells, path, line: int):
+        super().__init__(cells)
+        self.path = path
+        self.line = line
+
+    def fail(self, message: str) -> NoReturn:
+        raise ValidationError(f"{self.path}:{self.line}: {message}")
+
+    def number(self, column: str) -> float:
+        """The cell as a finite float."""
+        value = self[column]
+        try:
+            x = float(value)
+        except ValueError:
+            x = math.nan  # reported with the non-finite values
+        if not math.isfinite(x):
+            self.fail(f"column {column!r} is not a finite number: {value!r}")
+        return x
+
+    def integer(self, column: str) -> int:
+        """The cell as an int."""
+        value = self[column]
+        try:
+            return int(value)
+        except ValueError:
+            self.fail(f"column {column!r} is not an integer: {value!r}")
+
+    def binary(self, column: str) -> float:
+        """A 0/1 item cell as 0.0 or 1.0; empty (missing) reads as nan."""
+        value = self[column]
+        x = _BINARY_VALUES.get(value)
+        if x is None:
+            self.fail(f"column {column!r} must be 0, 1 or empty, got {value!r}")
+        return x
+
+
+_BINARY_VALUES = {"": math.nan, "0": 0.0, "1": 1.0}
+
+
+def _binary_cells(values) -> list[str]:
+    """Cell texts of 0/1 item values, empty for missing (nan): what Row.binary reads."""
+    return ["" if math.isnan(v) else str(int(v)) for v in values]
+
+
+def read_delimited(path, required: Sequence[str] | None = None) -> tuple[list[str], list[Row]]:
+    """Read a delimited file into (header, rows), checking required columns.
+
+    Blank lines are skipped, and each Row records the line it starts on.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
+        header = next((raw for raw in reader if raw), None)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty")
+        if required is not None:
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
         rows = []
-        for lineno, raw in enumerate(reader, start=2):
+        end = reader.line_num
+        for raw in reader:
+            start, end = end + 1, reader.line_num
             if not raw:
                 continue
             if len(raw) != len(header):
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}"
-                )
-            rows.append(dict(zip(header, raw)))
-    if required is not None:
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
+                raise SchemaError(f"{path}:{start}: expected {len(header)} fields, got {len(raw)}")
+            rows.append(Row(zip(header, raw), path, start))
     return header, rows
 
 

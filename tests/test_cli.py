@@ -34,6 +34,27 @@ def run(command, config_path):
     return cli.main([command, "--config", config_path])
 
 
+def corrupt(path, line, column, value, blank_lines=0):
+    """Set one field of a comma-delimited file and put blank lines above its row.
+
+    line counts from 1 (the header). Returns the line the edited row moves to.
+    """
+    lines = open(path).read().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    fields = lines[line - 1].rstrip("\n").split(",")
+    fields[header.index(column)] = value
+    lines[line - 1 : line] = ["\n"] * blank_lines + [",".join(fields) + "\n"]
+    open(path, "w").writelines(lines)
+    return line + blank_lines
+
+
+def assert_validation_error(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
 class TestShowConfig:
     def test_prints_full_defaults(self, capsys):
         assert cli.main(["show-config"]) == 0
@@ -157,13 +178,37 @@ class TestSimulateAndFeatures:
     def test_corrupt_row_exits_2_naming_the_line(self, pipeline_config, capsys):
         assert run("simulate", pipeline_config) == 0
         cfg = load_config(pipeline_config)
-        lines = open(cfg.survey_path).read().splitlines(keepends=True)
-        broken = lines[5].split(",")
-        broken[6] = "-1.0"  # negative weight
-        lines[5] = ",".join(broken)
-        open(cfg.survey_path, "w").writelines(lines)
+        corrupt(cfg.survey_path, 6, "sampling_weight", "-1.0")
         assert run("features", pipeline_config) == 2
         assert ":6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "file, column, value, message",
+        [
+            ("survey_path", "sampling_weight", "-1.0", "sampling_weight must be positive"),
+            ("province_path", "population_units", "-4", "negative population size"),
+        ],
+    )
+    def test_blank_lines_count_in_line_numbers(
+        self, pipeline_config, capsys, file, column, value, message
+    ):
+        assert run("simulate", pipeline_config) == 0
+        path = getattr(load_config(pipeline_config), file)
+        line = corrupt(path, 7, column, value, blank_lines=2)
+        assert run("features", pipeline_config) == 2
+        assert_validation_error(capsys, f"{path}:{line}: {message}")
+
+    @pytest.mark.parametrize(
+        "file, column", [("province_path", "f_p"), ("survey_path", "foreign_enrolled_count")]
+    )
+    def test_non_finite_number_exits_2_naming_line_and_column(
+        self, pipeline_config, capsys, file, column
+    ):
+        assert run("simulate", pipeline_config) == 0
+        path = getattr(load_config(pipeline_config), file)
+        corrupt(path, 5, column, "nan")
+        assert run("features", pipeline_config) == 2
+        assert_validation_error(capsys, f"{path}:5: column {column!r} is not a finite number: 'nan'")
 
     def test_missing_file_exits_2(self, pipeline_config):
         assert run("features", pipeline_config) == 2
@@ -282,44 +327,77 @@ class TestFitStages:
         # Saturated province: direct and EBP medians coincide exactly.
         assert by_p["p001"]["direct_median"] == by_p["p001"]["ebp_estimate"]
 
-    @staticmethod
-    def corrupt(path, line, column, value):
-        """Set one field of a comma-delimited file (line 1 is the header)."""
-        lines = open(path).read().splitlines(keepends=True)
-        header = lines[0].rstrip("\n").split(",")
-        fields = lines[line - 1].rstrip("\n").split(",")
-        fields[header.index(column)] = value
-        lines[line - 1] = ",".join(fields) + "\n"
-        open(path, "w").writelines(lines)
-
-    def assert_validation_error(self, capsys, *names):
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ") and "Traceback" not in err
-        for name in names:
-            assert name in err
-
     def test_truncated_scores_exit_2(self, after_ltm, capsys):
         cfg = load_config(after_ltm)
         path = os.path.join(cfg.output_dir, "scores.json")
         text = open(path).read()
         open(path, "w").write(text[: len(text) // 2])
         assert run("fit-ebp", after_ltm) == 2
-        self.assert_validation_error(capsys, path)
+        assert_validation_error(capsys, path)
 
     def test_non_numeric_item_weight_exits_2_naming_the_line(self, after_ltm, capsys):
         cfg = load_config(after_ltm)
         path = os.path.join(cfg.output_dir, "items.csv")
-        self.corrupt(path, 4, "weight", "heavy")
+        corrupt(path, 4, "weight", "heavy")
         assert run("fit-ltm", after_ltm) == 2
-        self.assert_validation_error(capsys, f"{path}:4", "'weight'", "'heavy'")
+        assert_validation_error(capsys, f"{path}:4", "'weight'", "'heavy'")
 
     def test_non_numeric_ebp_estimate_exits_2_naming_the_line(self, after_ltm, capsys):
         assert run("fit-ebp", after_ltm) == 0
         cfg = load_config(after_ltm)
         path = os.path.join(cfg.output_dir, "ebp_provinces.csv")
-        self.corrupt(path, 3, "estimate", "n/a")
+        corrupt(path, 3, "estimate", "n/a")
         assert run("report", after_ltm) == 2
-        self.assert_validation_error(capsys, f"{path}:3", "'estimate'", "'n/a'")
+        assert_validation_error(capsys, f"{path}:3", "'estimate'", "'n/a'")
+
+    def test_blank_lines_count_in_item_matrix_line_numbers(self, after_ltm, capsys):
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "items.csv")
+        line = corrupt(path, 4, "weight", "heavy", blank_lines=3)
+        assert run("fit-ltm", after_ltm) == 2
+        assert_validation_error(capsys, f"{path}:{line}: column 'weight'")
+
+    def test_non_binary_item_cell_exits_2_naming_the_line(self, after_ltm, capsys):
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "items.csv")
+        corrupt(path, 5, "meal", "0.5")
+        assert run("fit-ltm", after_ltm) == 2
+        assert_validation_error(capsys, f"{path}:5: column 'meal' must be 0, 1 or empty")
+
+    @pytest.mark.parametrize(
+        "column, value", [("estimate_clamped", "banana"), ("mc_sd", "oops"), ("estimate", "inf")]
+    )
+    def test_unparsable_ebp_cell_exits_2_naming_the_line(self, after_ltm, capsys, column, value):
+        assert run("fit-ebp", after_ltm) == 0
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "ebp_provinces.csv")
+        corrupt(path, 6, column, value)
+        assert run("report", after_ltm) == 2
+        assert_validation_error(capsys, f"{path}:6: column {column!r}", repr(value))
+
+    def test_repeated_ebp_domain_exits_2(self, after_ltm, capsys):
+        assert run("fit-ebp", after_ltm) == 0
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "ebp_provinces.csv")
+        lines = open(path).readlines()
+        open(path, "a").write(lines[1])
+        assert run("report", after_ltm) == 2
+        domain = lines[1].split(",")[0]
+        assert_validation_error(capsys, f"{path}:{len(lines) + 1}: repeated domain {domain!r}")
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("titularity", "municipal", "unknown titularity 'municipal'"),
+            ("service_type", "nursery", "unknown service_type 'nursery'"),
+            ("province", "p999", "province 'p999' not in the province file"),
+        ],
+    )
+    def test_bad_frame_row_exits_2_naming_the_line(self, after_ltm, capsys, column, value, message):
+        cfg = load_config(after_ltm)
+        corrupt(cfg.frame_path, 9, column, value)
+        assert run("fit-ebp", after_ltm) == 2
+        assert_validation_error(capsys, f"{cfg.frame_path}:9: {message}")
 
     def test_ebp_table_without_mc_sd_exits_2(self, after_ltm, capsys):
         assert run("fit-ebp", after_ltm) == 0
@@ -328,7 +406,7 @@ class TestFitStages:
         lines = open(path).read().splitlines(keepends=True)
         open(path, "w").writelines(",".join(line.split(",")[:3]) + "\n" for line in lines)
         assert run("report", after_ltm) == 2
-        self.assert_validation_error(capsys, path, "mc_sd")
+        assert_validation_error(capsys, path, "mc_sd")
 
     def test_report_without_ebp_exits_2(self, after_ltm, capsys):
         assert run("report", after_ltm) == 2

@@ -6,6 +6,7 @@ from latindex.features import (
     DEFAULT_LAMBDAS,
     RAW_ITEMS,
     SURVEY_COLUMNS,
+    ProvinceInfo,
     SurveyDataset,
     build_item_matrix,
     foreign_indicator,
@@ -238,27 +239,12 @@ class TestProvinceSummary:
         iqr = province_summary(values, ds, "iqr")
         assert np.all(iqr.columns["iqr"] == 0.0)
 
-    def test_unsampled_province_marked_missing(self, tmp_path):
+    def test_unsampled_province_marked_missing(self):
         ds = small_dataset()
-        provinces = {
-            p: info
-            for p, info in zip(
-                ("p1", "p2", "p3", "p9"),
-                [
-                    __import__("latindex.features", fromlist=["ProvinceInfo"]).ProvinceInfo(
-                        p, "r", "m", 1.0, 5
-                    )
-                    for p in ("p1", "p2", "p3", "p9")
-                ],
-            )
-        }
+        provinces = {p: ProvinceInfo(p, "r", "m", 1.0, 5) for p in ("p1", "p2", "p3", "p9")}
         table = province_summary(np.linspace(0, 1, 6), ds, "mean", provinces)
         i = table.provinces.index("p9")
         assert np.isnan(table.columns["mean"][i])
-        out = tmp_path / "table.csv"
-        table.write(out)
-        text = out.read_text()
-        assert "missing" in text
 
     def test_binary_mean_in_unit_interval(self):
         ds = small_dataset()
