@@ -360,6 +360,8 @@ def cmd_report(config: PipelineConfig) -> int:
     for row in ebp_rows:
         if row["domain"] in ebp_by_province:
             row.fail(f"repeated domain {row['domain']!r}")
+        if row["domain"] not in provinces:
+            row.fail(f"domain {row['domain']!r} is not in the province file")
         ebp_by_province[row["domain"]] = [row.number(c) for c in reported[1:]]
 
     med = province_summary(

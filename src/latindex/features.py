@@ -195,14 +195,19 @@ def load_survey(path, provinces: dict[str, ProvinceInfo] | None = None) -> Surve
     """Read and validate the unit-level survey file.
 
     Every invalid row is reported with its line number (the first problem
-    of each, up to 20 rows). When the province map is given, each unit's
-    province must exist in it and the row's region/macro_area must match
-    the map (the nesting hierarchy).
+    of each, up to 20 rows). A repeated unit_id is invalid, and names the
+    line of its first occurrence. When the province map is given, each
+    unit's province must exist in it and the row's region/macro_area must
+    match the map (the nesting hierarchy).
     """
     records, problems = [], []
+    first_line: dict[str, int] = {}
     # The rows are freed when the loop ends, before the columns are built.
     for row in read_delimited(path, required=SURVEY_COLUMNS)[1]:
         try:
+            first = first_line.setdefault(row["unit_id"], row.line)
+            if first != row.line:
+                row.fail(f"unit_id {row['unit_id']!r} repeats the unit of line {first}")
             records.append(_survey_record(row, provinces))
         except ValidationError as exc:
             problems.append(str(exc))

@@ -16,7 +16,10 @@ come from a nonparametric cluster bootstrap that resamples whole groups.
 Every fit runs through one lockstep Nelder-Mead path: a base fit's
 restarts, like the bootstrap's refits, step together with one batched
 likelihood evaluation per round (and one more for their final values),
-each exactly as scipy's Nelder-Mead would run it alone.
+each exactly as scipy's Nelder-Mead would run it alone. A batched
+evaluation is one pass over every piece of its resamples' integrands;
+BATCH_SEGMENTS, the most pieces a bootstrap batch holds, is the one bound
+on its memory.
 """
 
 from __future__ import annotations
@@ -43,12 +46,9 @@ SIGMA_FLOOR = 1e-8
 # bootstrap refits alike.
 MAX_FEV_PER_PARAM = 400
 # Bootstrap replicates are refitted in lockstep batches of at most this
-# many likelihood segments (at least one replicate each), which bounds
-# the memory the batch's likelihood layout takes.
+# many likelihood segments (at least one replicate each). It is the one
+# bound on the memory of the batch's likelihood layout and work buffers.
 BATCH_SEGMENTS = 1 << 16
-# The exact likelihood works through its pieces in runs of this many, so
-# that its work buffers stay small (and in cache) however large the batch.
-_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -227,50 +227,23 @@ def _ramp(out: np.ndarray, starts: np.ndarray, base, step: int) -> np.ndarray:
     return out.cumsum(out=out)
 
 
-def _storage(ws: "_Workspace", picks: np.ndarray) -> SimpleNamespace:
-    """Arrays for the _layout of picks, or of any subset of its rows, and for _exact_loglik."""
-    m = len(picks)
-    sizes = ws.sizes[picks]
-    n = sizes.sum(axis=1)
-    T, n_max = int(n.sum()), int(n.max())
-    S = T + picks.size
-    chunk = max(min(_CHUNK, S), int(sizes.max()) + 1)  # the longest run of pieces one pass takes
-    return SimpleNamespace(
-        sg=np.empty(S, dtype=np.intp),
-        lo=np.empty(S, dtype=np.intp),
-        p=np.empty(S, dtype=np.intp),
-        neg_d=np.empty(S),
-        z=np.empty(T),
-        src=np.empty(T, dtype=np.intp),
-        xrow=np.empty(T, dtype=np.intp),
-        row_pad=np.empty(T, dtype=np.intp),
-        rows=np.empty(T + 1),
-        cs0=np.empty(m * (n_max + 1)),
-        padded=np.zeros(m * n_max),
-        w=np.empty((5, chunk)),
-        mask=np.empty((2, chunk), dtype=bool),
-    )
-
-
-def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace) -> SimpleNamespace:
-    """The exact likelihood's index arrays for m resamples of ws's groups, written into st.
+def _layout(ws: "_Workspace", picks: np.ndarray, tau: float) -> SimpleNamespace:
+    """The exact likelihood's index arrays and work buffers for m resamples of ws's groups.
 
     Resample i is the groups picks[i] of ws, in that order. Its rows
     follow resample i - 1's and hold ws.zs; xrow indexes each row's
     design row in resample i's block of x' gamma values, and blocks holds,
     per group size, the (k, n) row slots of the k mixed groups of that
     size, whose residuals the kernel sorts. Group j contributes n_j + 1
-    pieces of the piecewise-exponential integrand, in row order. lo
-    indexes the group-major sorted residuals, whose slot T holds -inf; a
-    piece's upper end is the next piece's lower end, except that each
-    group's last piece ends at +inf. Row i of the padded (m, n_max + 1)
-    array cs0 holds 0.0 and then resample i's running sums of its sorted
-    residuals, so the sum of the j smallest residuals of a group is
-    cs0[p] - cs0[group_b]: exactly 0.0 on first pieces. chunks cut the
-    pieces at group boundaries into runs of at most _CHUNK (or one
-    group's). The piece arrays are views of st, so rebuilding the layout
-    for another set of resamples allocates nothing of the size of the
-    pieces; blocks, like chunks, is built anew with each layout.
+    pieces of the piecewise-exponential integrand, in row order, from
+    seg_starts[j] to last[j]. lo indexes the group-major sorted residuals,
+    whose slot T holds -inf; a piece's upper end is the next piece's lower
+    end, except that each group's last piece ends at +inf. Row i of the
+    padded (m, n_max + 1) array cs0 holds 0.0 and then resample i's
+    running sums of its sorted residuals, so the sum of the j smallest
+    residuals of a group is cs0[p] - cs0[group_b]: exactly 0.0 on first
+    pieces. Every array is as long as the pieces or rows of these
+    resamples, so BATCH_SEGMENTS bounds them all.
     """
     m, J = picks.shape
     flat = picks.ravel()
@@ -279,48 +252,42 @@ def _layout(ws: "_Workspace", picks: np.ndarray, tau: float, st: SimpleNamespace
     n = sizes.reshape(m, J).sum(axis=1)
     T, n_max = int(n.sum()), int(n.max())
     S = T + G
-    src, starts = ws.group_rows(flat, st.src[:T])
+    src, starts = ws.group_rows(flat)
     seg_starts = np.cumsum(sizes + 1) - (sizes + 1)
     row0 = np.cumsum(n) - n
     shift = np.repeat(np.arange(m) * (n_max + 1) - row0, J)  # global row -> cs0 column, per group
 
-    sg = _ramp(st.sg[:S], seg_starts, np.arange(G), 0)  # each piece's group
-    lo = _ramp(st.lo[:S], seg_starts, np.zeros(G, dtype=np.intp), 1)  # piece index in its group
-    p = sizes.take(sg, out=st.p[:S])
-    neg_d = np.multiply(p, tau, out=st.neg_d[:S])  # minus the slope in u of each piece's check loss
+    sg = _ramp(np.empty(S, dtype=np.intp), seg_starts, np.arange(G), 0)  # each piece's group
+    lo = _ramp(np.empty(S, dtype=np.intp), seg_starts, np.zeros(G, dtype=np.intp), 1)  # piece index in its group
+    p = sizes.take(sg)
+    neg_d = np.multiply(p, tau)  # minus the slope in u of each piece's check loss
     np.negative(np.subtract(lo, neg_d, out=neg_d), out=neg_d)
     lo += starts.take(sg, out=p)  # the row of the piece's upper end
     np.add(shift.take(sg, out=p), lo, out=p)
     lo -= 1
     lo[seg_starts] = T
 
-    z = ws.zs.take(src, out=st.z[:T])
-    xrow = _ramp(st.xrow[:T], row0, np.arange(m) * len(ws.Xd), 0)  # resample i's x' gamma block
+    xrow = _ramp(np.empty(T, dtype=np.intp), row0, np.arange(m) * len(ws.Xd), 0)  # resample i's x' gamma block
     xrow += ws.design[src]
     row_pad = None  # each row's slot in a padded (m, n_max) array, when rows are padded
     if T != m * n_max:
-        row_pad = _ramp(st.row_pad[:T], row0, np.arange(m) * n_max, 1)
+        row_pad = _ramp(np.empty(T, dtype=np.intp), row0, np.arange(m) * n_max, 1)
     mixed = np.flatnonzero(ws.mixed[flat])
     blocks = []
     for k in np.unique(sizes[mixed]):
         of_size = mixed[sizes[mixed] == k]
         blocks.append(starts[of_size][:, None] + np.arange(k))
-
-    ends = seg_starts + sizes + 1
-    chunks, g0 = [], 0
-    while g0 < G:
-        g1 = max(g0 + 1, int(np.searchsorted(ends, seg_starts[g0] + _CHUNK, side="right")))
-        s0, s1 = seg_starts[g0], ends[g1 - 1]
-        chunks.append((s0, s1, g0, g1, seg_starts[g0:g1] - s0, ends[g0:g1] - 1 - s0))
-        g0 = g1
     return SimpleNamespace(
         m=m, J=J, T=T, n_max=n_max, tau=tau, Xd=ws.Xd,
-        starts=starts, sizes=sizes, sg=sg, lo=lo, p=p, group_b=starts + shift, neg_d=neg_d,
-        row_pad=row_pad, z=z, xrow=xrow, blocks=blocks, chunks=chunks,
+        starts=starts, sizes=sizes, seg_starts=seg_starts, last=seg_starts + sizes,
+        sg=sg, lo=lo, p=p, group_b=starts + shift, neg_d=neg_d,
+        row_pad=row_pad, z=ws.zs[src], xrow=xrow, blocks=blocks,
+        rows=np.empty(T + 1), cs0=np.empty(m * (n_max + 1)), padded=np.zeros(m * n_max),
+        w=np.empty((5, S)), mask=np.empty((2, S), dtype=bool),
     )
 
 
-def _exact_loglik(L, work, gamma, psi2, sigma, weights) -> np.ndarray:
+def _exact_loglik(L, gamma, psi2, sigma, weights) -> np.ndarray:
     """The weighted log-likelihood of each resample of layout L, intercept integrated out.
 
     gamma is (m, P), psi2 and sigma (m,) with psi2 > PSI2_FLOOR, weights
@@ -328,6 +295,8 @@ def _exact_loglik(L, work, gamma, psi2, sigma, weights) -> np.ndarray:
     check loss is linear in u, so each piece integrates in closed form:
     integral of exp(a u + b) phi(u; 0, psi2) over [lo, hi] equals
     exp(b + a^2 psi2 / 2) * (Phi((hi - a psi2)/psi) - Phi((lo - a psi2)/psi)).
+    One pass takes every piece of L, in L's own work buffers, which
+    BATCH_SEGMENTS bounds.
 
     x' gamma is computed once per distinct design row and resample,
     elementwise and summing the columns in order, so a row's value depends
@@ -345,74 +314,65 @@ def _exact_loglik(L, work, gamma, psi2, sigma, weights) -> np.ndarray:
     const = np.array([math.log(tau * (1.0 - tau)) - math.log(v) for v in sigma.tolist()])
     psi = np.array([math.sqrt(v) for v in psi2.tolist()])
 
-    buf = work.rows[: T + 1]
+    buf = L.rows
     buf[T] = -np.inf
     s = buf[:T]  # residuals sorted within each group
     xd = L.Xd[:, 0] * gamma[:, :1]  # (m, D): x' gamma per distinct design row, column by column
     for k in range(1, gamma.shape[1]):
         xd += L.Xd[:, k] * gamma[:, k : k + 1]
-    row_tmp = work.cs0[:T]
-    np.subtract(L.z, xd.ravel().take(L.xrow, out=row_tmp), out=s)
+    np.subtract(L.z, xd.ravel().take(L.xrow, out=L.cs0[:T]), out=s)
     for slots in L.blocks:
         s[slots] = np.sort(s.take(slots), axis=1)
-    if L.row_pad is None:
-        padded = s
-    else:
-        padded = work.padded[: m * n_max]
+    padded = s
+    if L.row_pad is not None:
+        padded = L.padded
         padded[L.row_pad] = s
-    cs0 = work.cs0[: m * (n_max + 1)].reshape(m, n_max + 1)
-    cs0[:, 0] = 0.0
-    np.add.accumulate(padded.reshape(m, n_max), axis=1, out=cs0[:, 1:])
-    cs0 = cs0.ravel()
-    group_tot = np.add.reduceat(s, L.starts)
-    group_base = cs0.take(L.group_b)
-    group_sigma, group_psi2, group_psi = np.repeat(sigma, J), np.repeat(psi2, J), np.repeat(psi, J)
+    cs0, sg = L.cs0, L.sg
+    by_resample = cs0.reshape(m, n_max + 1)
+    by_resample[:, 0] = 0.0
+    np.add.accumulate(padded.reshape(m, n_max), axis=1, out=by_resample[:, 1:])
+    w0, w1, w2, w3, w4 = L.w
+    flip, keep = L.mask
+    # c = tau * (group_tot - prefix) - (1 - tau) * prefix, a = neg_d / sigma
+    # and b = c / -sigma (== -c / sigma: rounding is symmetric in sign).
+    prefix = np.subtract(cs0.take(L.p, out=w0), cs0.take(L.group_b).take(sg, out=w1), out=w0)
+    c = np.subtract(np.add.reduceat(s, L.starts).take(sg, out=w2), prefix, out=w2)
+    np.subtract(np.multiply(c, tau, out=c), np.multiply(prefix, 1.0 - tau, out=w1), out=c)
+    sig = np.repeat(sigma, J).take(sg, out=w1)
+    a = np.divide(L.neg_d, sig, out=w3)
+    b = np.divide(c, np.negative(sig, out=sig), out=c)
+    # head = b + 0.5 * a * a * psi2, the first two terms of each piece's log
+    var = np.repeat(psi2, J).take(sg, out=w1)
+    a_psi2 = np.multiply(a, var, out=w0)
+    quad = np.multiply(np.multiply(np.multiply(a, 0.5, out=w4), a, out=w4), var, out=w4)
+    head = np.add(b, quad, out=b)
 
-    mx_all, logint = np.empty(m * J), np.empty(m * J)
-    for s0, s1, g0, g1, piece_starts, last in L.chunks:
-        w0, w1, w2, w3, w4 = work.w[:, : s1 - s0]
-        flip, keep = work.mask[:, : s1 - s0]
-        sg = L.sg[s0:s1]
-        # c = tau * (group_tot - prefix) - (1 - tau) * prefix, a = neg_d / sigma
-        # and b = c / -sigma (== -c / sigma: rounding is symmetric in sign).
-        prefix = np.subtract(cs0.take(L.p[s0:s1], out=w0), group_base.take(sg, out=w1), out=w0)
-        c = np.subtract(group_tot.take(sg, out=w2), prefix, out=w2)
-        np.subtract(np.multiply(c, tau, out=c), np.multiply(prefix, 1.0 - tau, out=w1), out=c)
-        sig = group_sigma.take(sg, out=w1)
-        a = np.divide(L.neg_d[s0:s1], sig, out=w3)
-        b = np.divide(c, np.negative(sig, out=sig), out=c)
-        # head = b + 0.5 * a * a * psi2, the first two terms of each piece's log
-        var = group_psi2.take(sg, out=w1)
-        a_psi2 = np.multiply(a, var, out=w0)
-        quad = np.multiply(np.multiply(np.multiply(a, 0.5, out=w4), a, out=w4), var, out=w4)
-        head = np.add(b, quad, out=b)
+    lo = buf.take(L.lo, out=w1)
+    hi = w3
+    hi[:-1] = lo[1:]
+    hi[L.last] = np.inf
+    sd = np.repeat(psi, J).take(sg, out=w4)
+    alpha = np.divide(np.subtract(lo, a_psi2, out=lo), sd, out=lo)
+    beta = np.divide(np.subtract(hi, a_psi2, out=hi), sd, out=hi)
+    # Pieces above 0 use Phi(beta) - Phi(alpha) = Phi(-alpha) - Phi(-beta),
+    # whose log log_ndtr evaluates without cancellation.
+    np.logical_not(np.greater(alpha, 0.0, out=flip), out=keep)
+    lo_arg = np.negative(beta, out=w0)  # where(flip, -beta, alpha)
+    np.copyto(lo_arg, alpha, where=keep)
+    hi_arg = np.negative(alpha, out=w4)  # where(flip, -alpha, beta)
+    np.copyto(hi_arg, beta, where=keep)
+    la, lb = log_ndtr(lo_arg, out=w1), log_ndtr(hi_arg, out=w3)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ldiff = np.minimum(np.subtract(la, lb, out=w0), 0.0, out=w0)
+        np.log1p(np.negative(np.exp(ldiff, out=ldiff), out=ldiff), out=ldiff)
+        np.add(lb, ldiff, out=ldiff)
+    terms = np.add(head, ldiff, out=head)
+    np.copyto(terms, -np.inf, where=np.logical_not(np.isfinite(terms, out=flip), out=keep))
 
-        lo = buf.take(L.lo[s0:s1], out=w1)
-        hi = w3
-        hi[:-1] = lo[1:]
-        hi[last] = np.inf
-        sd = group_psi.take(sg, out=w4)
-        alpha = np.divide(np.subtract(lo, a_psi2, out=lo), sd, out=lo)
-        beta = np.divide(np.subtract(hi, a_psi2, out=hi), sd, out=hi)
-        # Pieces above 0 use Phi(beta) - Phi(alpha) = Phi(-alpha) - Phi(-beta),
-        # whose log log_ndtr evaluates without cancellation.
-        np.logical_not(np.greater(alpha, 0.0, out=flip), out=keep)
-        lo_arg = np.negative(beta, out=w0)  # where(flip, -beta, alpha)
-        np.copyto(lo_arg, alpha, where=keep)
-        hi_arg = np.negative(alpha, out=w4)  # where(flip, -alpha, beta)
-        np.copyto(hi_arg, beta, where=keep)
-        la, lb = log_ndtr(lo_arg, out=w1), log_ndtr(hi_arg, out=w3)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ldiff = np.minimum(np.subtract(la, lb, out=w0), 0.0, out=w0)
-            np.log1p(np.negative(np.exp(ldiff, out=ldiff), out=ldiff), out=ldiff)
-            np.add(lb, ldiff, out=ldiff)
-        terms = np.add(head, ldiff, out=head)
-        np.copyto(terms, -np.inf, where=np.logical_not(np.isfinite(terms, out=flip), out=keep))
-
-        mx = np.maximum.reduceat(terms, piece_starts)
-        mx = mx_all[g0:g1] = np.where(np.isfinite(mx), mx, 0.0)
-        blown = np.exp(np.subtract(terms, mx_all.take(sg, out=w0), out=w0), out=w0)
-        logint[g0:g1] = mx + np.log(np.add.reduceat(blown, piece_starts))
+    mx = np.maximum.reduceat(terms, L.seg_starts)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    blown = np.exp(np.subtract(terms, mx.take(sg, out=w0), out=w0), out=w0)
+    logint = mx + np.log(np.add.reduceat(blown, L.seg_starts))
     per_group = L.sizes.reshape(m, J) * const[:, None] + logint.reshape(m, J)
     return np.array(list(map(np.dot, weights, per_group)))
 
@@ -450,25 +410,11 @@ class _Workspace:
         # A constant key keeps a mixed group's rows in input order (lexsort is stable).
         self.zs = self.z[np.lexsort((np.where(self.mixed[self.g_sorted], 0.0, self.z), self.g_sorted))]
 
-    def group_rows(self, picked: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def group_rows(self, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row indices of the picked groups' blocks laid end to end, and each block's start."""
         sizes = self.sizes[picked]
         starts = np.cumsum(sizes) - sizes
-        if out is None:
-            out = np.empty(int(sizes.sum()), dtype=np.intp)
-        return _ramp(out, starts, self.starts[picked], 1), starts
-
-    def loglik_exact(self, gamma, psi2, sigma, tau) -> float:
-        """Weighted log-likelihood with the intercept integrated out exactly."""
-        if psi2 <= PSI2_FLOOR:
-            return _point_mass_loglik(self.z, self.X, self.starts, self.weights, gamma, sigma, tau)
-        picks = np.arange(len(self.labels))[None]
-        work = _storage(self, picks)
-        gamma = np.asarray(gamma, dtype=float)[None]
-        out = _exact_loglik(
-            _layout(self, picks, tau, work), work, gamma, np.array([psi2]), np.array([sigma]), self.weights[None]
-        )
-        return float(out[0])
+        return _ramp(np.empty(int(sizes.sum()), dtype=np.intp), starts, self.starts[picked], 1), starts
 
     def loglik_quadrature(self, gamma, psi2, sigma, tau, rule: HermiteRule) -> float:
         if psi2 <= PSI2_FLOOR:
@@ -484,24 +430,21 @@ class _Workspace:
 
 
 class _Batch:
-    """loglik_exact of many resamples of a workspace at once, one value each.
+    """The exact log-likelihood of many resamples of a workspace at once, one value each.
 
-    Resample i is the groups picks[i] of ws with normalized weights: a
-    bootstrap replicate, or ws itself for each restart of a base fit. The
-    running resamples are laid end to end in one _layout, rebuilt when
-    that set changes, and evaluated by one _exact_loglik call; those at
-    the point-mass floor of psi2 take the scalar branch one at a time.
-    Each value is bit-identical to that resample's own loglik_exact. z and
-    X gather every resample's rows once, each group's in ws's input order;
-    starts[r] holds where resample r's groups start in them.
+    Resample i is the groups picks[i] of ws with group weights weights[i]:
+    a bootstrap replicate, or ws itself for each restart of a base fit.
+    The running resamples are laid end to end in one _layout, built anew
+    when that set changes, and evaluated by one _exact_loglik call; those
+    at the point-mass floor of psi2 take the scalar branch one at a time.
+    So resample i's value does not depend on which others run with it.
+    z and X gather every resample's rows once, each group's in ws's input
+    order; starts[r] holds where resample r's groups start in them.
     """
 
-    def __init__(self, ws: _Workspace, picks: np.ndarray, tau: float):
-        self.ws, self.picks, self.tau = ws, picks, tau
-        self.weights = np.array([_normalized(ws.weights[p]) for p in picks])
-        self._work = _storage(ws, picks)  # large enough for any subset
-        self._layout = _layout(ws, picks, tau, self._work)
-        self._key = np.arange(len(picks)).tobytes()
+    def __init__(self, ws: _Workspace, picks: np.ndarray, tau: float, weights: np.ndarray):
+        self.ws, self.picks, self.tau, self.weights = ws, picks, tau, weights
+        self._layout, self._key = None, None
         rows, starts = ws.group_rows(picks.ravel())
         self.z, self.X, self.starts = ws.z[rows], ws.X[rows], starts.reshape(picks.shape)
         self._ends = np.append(self.starts[1:, 0], rows.size)
@@ -512,7 +455,7 @@ class _Batch:
         return self.z[s:e], self.X[s:e], self.starts[r] - s
 
     def loglik_exact(self, idx, gamma, psi2, sigma) -> np.ndarray:
-        """Resample idx[i]'s loglik_exact(gamma[i], psi2[i], sigma[i], tau) for each i."""
+        """Resample idx[i]'s log-likelihood at gamma[i], psi2[i], sigma[i] and tau, for each i."""
         out = np.empty(idx.size)
         low = psi2 <= PSI2_FLOOR
         for i in np.flatnonzero(low):
@@ -522,11 +465,9 @@ class _Batch:
             high = idx[~low]
             key = high.tobytes()
             if key != self._key:
-                self._layout = _layout(self.ws, self.picks[high], self.tau, self._work)
-                self._key = key
-            out[~low] = _exact_loglik(
-                self._layout, self._work, gamma[~low], psi2[~low], sigma[~low], self.weights[high]
-            )
+                self._layout = None  # freed before the next one is built
+                self._layout, self._key = _layout(self.ws, self.picks[high], self.tau), key
+            out[~low] = _exact_loglik(self._layout, gamma[~low], psi2[~low], sigma[~low], self.weights[high])
         return out
 
 
@@ -563,7 +504,9 @@ def lqmm_loglik(
         raise ValidationError("gamma length must match the design width")
     ws = _Workspace(data)
     if method == "exact":
-        out = ws.loglik_exact(gamma, psi2, sigma, tau)
+        batch = _Batch(ws, np.arange(len(ws.labels))[None], tau, ws.weights[None])
+        params = np.array([psi2], dtype=float), np.array([sigma], dtype=float)
+        out = float(batch.loglik_exact(np.zeros(1, dtype=np.intp), gamma[None], *params)[0])
     elif method == "quadrature":
         if rule is None:
             rule = hermite_rule(DEFAULT_ORDER)
@@ -640,11 +583,18 @@ def _conditional_modes(resid, starts, psi2, sigma, tau) -> np.ndarray:
     return modes
 
 
-def _unpack(theta, P: int, fix_psi2: float | None):
-    """(gamma, psi2, sigma) from the optimizer's (gamma, log sigma[, log psi2])."""
-    sigma = math.exp(min(theta[P], 50.0)) + SIGMA_FLOOR
-    psi2 = fix_psi2 if fix_psi2 is not None else math.exp(min(theta[P + 1], 50.0))
-    return theta[:P], psi2, sigma
+def _params(thetas: np.ndarray, P: int, fix_psi2: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma (m, P), psi2 and sigma (m,) from the optimizer's (m, N) rows (gamma, log sigma[, log psi2]).
+
+    Each exp is math.exp of one element: numpy's SIMD exp differs from
+    it in the last bit for some arguments.
+    """
+    sigma = np.array([math.exp(min(v, 50.0)) + SIGMA_FLOOR for v in thetas[:, P].tolist()])
+    if fix_psi2 is None:
+        psi2 = np.array([math.exp(min(v, 50.0)) for v in thetas[:, P + 1].tolist()])
+    else:
+        psi2 = np.full(len(thetas), float(fix_psi2))
+    return thetas[:, :P].copy(), psi2, sigma
 
 
 def _theta(gamma, psi2: float, sigma: float, estimate_psi: bool) -> np.ndarray:
@@ -665,11 +615,10 @@ def _fit_lockstep(
     in one batched likelihood call. Returns the batch, which the final
     log-likelihoods reuse, and the optimizer's results.
     """
-    batch = _Batch(ws, picks, tau)
+    batch = _Batch(ws, picks, tau, np.array([_normalized(ws.weights[p]) for p in picks]))
 
     def negloglik(idx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        params = np.array([_unpack(theta, ws.P, fix_psi2)[1:] for theta in thetas.tolist()], dtype=float)
-        return -batch.loglik_exact(idx, thetas[:, : ws.P], params[:, 0], params[:, 1])
+        return -batch.loglik_exact(idx, *_params(thetas, ws.P, fix_psi2))
 
     res = nelder_mead_batch(negloglik, thetas0, xatol=xatol, fatol=fatol, maxiter=max_fev, maxfev=max_fev)
     return batch, res
@@ -682,8 +631,7 @@ def _finish_fits(batch: _Batch, thetas, fix_psi2: float | None, compute_modes: b
     one resample at a time, as lstsq's bits depend on the resample's rows.
     """
     m, J = len(thetas), batch.picks.shape[1]
-    gamma, psi2, sigma = zip(*(_unpack(theta, batch.ws.P, fix_psi2) for theta in thetas))
-    gamma, psi2, sigma = np.array(gamma, dtype=float), np.array(psi2, dtype=float), np.array(sigma)
+    gamma, psi2, sigma = _params(thetas, batch.ws.P, fix_psi2)
     u = np.zeros((m, J))
     if compute_modes:
         resid = np.concatenate([z - X @ g for (z, X, _), g in zip(map(batch.rows, range(m)), gamma)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from json.encoder import encode_basestring
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import SchemaError, ValidationError
@@ -123,7 +124,8 @@ class JsonWriter:
 
     The stdlib json module formats floats with repr, which is shortest
     round-trip rather than a fixed significant-digit count; this writer
-    keeps the 17-digit file contract.
+    keeps the 17-digit file contract. Strings and keys are escaped as the
+    json module escapes them, non-ASCII kept as is.
     """
 
     def __init__(self):
@@ -139,7 +141,7 @@ class JsonWriter:
             b.write("{\n")
             items = list(value.items())
             for i, (k, v) in enumerate(items):
-                b.write(f'{pad}  "{k}": ')
+                b.write(f"{pad}  {encode_basestring(k)}: ")
                 self.emit(v, indent + 1)
                 b.write(",\n" if i < len(items) - 1 else "\n")
             b.write(pad + "}")
@@ -160,7 +162,7 @@ class JsonWriter:
         elif isinstance(value, float):
             b.write(fmt17(value))
         elif isinstance(value, str):
-            b.write('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+            b.write(encode_basestring(value))
         elif value is None:
             b.write("null")
         else:

@@ -210,6 +210,14 @@ class TestSimulateAndFeatures:
         assert run("features", pipeline_config) == 2
         assert_validation_error(capsys, f"{path}:5: column {column!r} is not a finite number: 'nan'")
 
+    def test_repeated_unit_id_exits_2_naming_both_lines(self, pipeline_config, capsys):
+        assert run("simulate", pipeline_config) == 0
+        path = load_config(pipeline_config).survey_path
+        first = open(path).readlines()[1].split(",")[0]
+        corrupt(path, 3, "unit_id", first)
+        assert run("features", pipeline_config) == 2
+        assert_validation_error(capsys, f"{path}:3: unit_id {first!r} repeats the unit of line 2")
+
     def test_missing_file_exits_2(self, pipeline_config):
         assert run("features", pipeline_config) == 2
 
@@ -384,6 +392,16 @@ class TestFitStages:
         assert run("report", after_ltm) == 2
         domain = lines[1].split(",")[0]
         assert_validation_error(capsys, f"{path}:{len(lines) + 1}: repeated domain {domain!r}")
+
+    def test_ebp_domain_outside_province_file_exits_2(self, after_ltm, capsys):
+        assert run("fit-ebp", after_ltm) == 0
+        cfg = load_config(after_ltm)
+        path = os.path.join(cfg.output_dir, "ebp_provinces.csv")
+        lines = open(path).readlines()
+        open(path, "a").write("p999," + lines[1].split(",", 1)[1])
+        assert run("report", after_ltm) == 2
+        assert_validation_error(capsys, f"{path}:{len(lines) + 1}: domain 'p999' is not in the province file")
+        assert not os.path.exists(os.path.join(cfg.output_dir, "report.csv"))
 
     @pytest.mark.parametrize(
         "column, value, message",

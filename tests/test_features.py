@@ -94,6 +94,12 @@ class TestLoadSurvey:
         with pytest.raises(ValidationError, match="p3"):
             load_survey(survey, load_provinces(provinces))
 
+    def test_repeated_unit_id_names_both_lines(self, tmp_path):
+        rows = [self.well_formed_row("u1"), self.well_formed_row("u2"), "\n", self.well_formed_row("u1", "p2")]
+        survey, provinces = self.make_files(tmp_path, rows)
+        with pytest.raises(ValidationError, match=f"{survey}:5: unit_id 'u1' repeats the unit of line 2"):
+            load_survey(survey, load_provinces(provinces))
+
     def test_missing_column_is_schema_error(self, tmp_path):
         survey = tmp_path / "survey.csv"
         survey.write_text("unit_id,province\nu1,p1\n")

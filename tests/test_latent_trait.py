@@ -10,6 +10,7 @@ from latindex.errors import DegenerateItemError, DegenerateScaleError, Validatio
 from latindex.latent_trait import (
     FittedLTM,
     ItemParameters,
+    LatentScores,
     ResponseMatrix,
     eap_scores,
     em_fit,
@@ -460,6 +461,15 @@ class TestSerialization:
         np.testing.assert_array_equal(back.raw, scores.raw)
         np.testing.assert_array_equal(back.scaled, scores.scaled)
         assert back.unit_ids == scores.unit_ids
+
+    def test_scores_round_trip_any_unit_id(self):
+        # A quoted CSV cell may hold any of these; scores.json must stay valid JSON.
+        ids = ("tab\there", "new\nline", 'say "hi"', "back\\slash", "citt\u00e0 \u6771", "\x00\x1f\x7f")
+        values = np.linspace(0.0, 1.0, len(ids))
+        scores = LatentScores(unit_ids=ids, raw=values - 0.5, scaled=values, posterior_sd=values + 0.1)
+        back = scores_from_json(scores_to_json(scores))
+        assert back.unit_ids == ids
+        np.testing.assert_array_equal(back.scaled, scores.scaled)
 
 
 # ---------------------------------------------------------------------------

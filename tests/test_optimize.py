@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from latindex.optimize import golden_max, nelder_mead_batch
-from latindex.quantile_mixed import GroupedData, _unpack, _Workspace
+from latindex.quantile_mixed import GroupedData, _params, lqmm_loglik
 
 
 def rosenbrock(x):
@@ -32,11 +32,10 @@ def lqmm_objective():
         group=group,
         group_weights={g: 1.0 for g in labels},
     )
-    ws = _Workspace(data)
 
     def negloglik(theta):
-        gamma, psi2, sigma = _unpack(theta, 1, None)
-        return -ws.loglik_exact(gamma, psi2, sigma, 0.5)
+        gamma, psi2, sigma = _params(theta[None], 1, None)
+        return -lqmm_loglik(data, gamma[0], psi2[0], sigma[0], 0.5)
 
     return negloglik
 

@@ -19,9 +19,9 @@ from latindex.quantile_mixed import (
     _Batch,
     _finish_fits,
     _fit_lockstep,
+    _params,
     _pick_groups,
     _theta,
-    _unpack,
     _Workspace,
     ald_logdensity,
     bootstrap_fits,
@@ -263,6 +263,42 @@ class TestRowOrderInvariance:
         assert lqmm_loglik(_permuted(data, perm), *params) == lqmm_loglik(data, *params)
 
 
+def _reweighted(data: GroupedData, factor: float) -> GroupedData:
+    return dataclasses.replace(data, group_weights={g: factor * w for g, w in data.group_weights.items()})
+
+
+class TestWeightScaling:
+    """lqmm_loglik uses the group weights as given, so scaling them scales the result.
+
+    Each group's term does not depend on the weights, and the weights
+    enter once, in the weighted sum over groups. Under a power-of-two
+    factor every product and partial sum scales exactly. Under any other
+    factor each weight rounds once and the sum rounds differently, so the
+    gap is bounded relative to the sum of the groups' absolute weighted
+    terms (the sum itself may cancel).
+    """
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        shuffled_rows("partly_mixed"),
+        st.one_of(st.sampled_from([0.0, PSI2_FLOOR]), st.floats(1e-4, 1.0)),
+        st.integers(-8, 8),
+        st.floats(0.01, 100.0),
+    )
+    def test_scales_with_weights(self, case, psi2, k, factor):
+        data, _, (gamma, _, sigma, tau) = case
+        base = lqmm_loglik(data, gamma, psi2, sigma, tau)
+        assert lqmm_loglik(_reweighted(data, 2.0**k), gamma, psi2, sigma, tau) == 2.0**k * base
+        dom = np.asarray(data.group, dtype=object)
+        scale = 0.0
+        for g, w in data.group_weights.items():
+            rows = dom == g
+            alone = GroupedData(z=data.z[rows], X=data.X[rows], group=dom[rows], group_weights={g: 1.0})
+            scale += w * abs(lqmm_loglik(alone, gamma, psi2, sigma, tau))
+        scaled = lqmm_loglik(_reweighted(data, factor), gamma, psi2, sigma, tau)
+        assert abs(scaled - factor * base) <= 1e-12 * factor * scale
+
+
 class TestFitLqmm:
     def brute_force_intercept(self, values, tau):
         grid = np.linspace(min(values) - 0.5, max(values) + 0.5, 20_001)
@@ -389,8 +425,26 @@ class TestFitLqmm:
         fit = fit_lqmm(data, 0.5, restarts=3, compute_modes=False)
         x = runs[0].x
         assert not np.array_equal(x[1], x[2])
-        gamma, psi2, sigma = _unpack(x[1], 2, None)
+        gamma, psi2, sigma = unpack(x[1], 2, None)
         assert np.array_equal(fit.gamma, gamma) and (fit.psi2, fit.sigma) == (psi2, sigma)
+
+
+def unpack(theta, P: int, fix_psi2) -> tuple[np.ndarray, float, float]:
+    """gamma, psi2 and sigma of one optimizer vector, by _params."""
+    gamma, psi2, sigma = _params(np.asarray(theta)[None], P, fix_psi2)
+    return gamma[0], float(psi2[0]), float(sigma[0])
+
+
+def batch_of(ws: _Workspace, picks: np.ndarray, tau: float) -> _Batch:
+    """A _Batch of the resamples picks of ws with normalized weights, as _fit_lockstep builds it."""
+    return _Batch(ws, picks, tau, np.array([qm._normalized(ws.weights[p]) for p in picks]))
+
+
+def loglik_exact(ws: _Workspace, gamma, psi2: float, sigma: float, tau: float) -> float:
+    """The exact log-likelihood of ws at its own weights: a _Batch of one resample."""
+    batch = _Batch(ws, np.arange(len(ws.labels))[None], tau, ws.weights[None])
+    params = np.asarray(gamma, dtype=float)[None], np.array([psi2]), np.array([sigma])
+    return float(batch.loglik_exact(np.zeros(1, dtype=np.intp), *params)[0])
 
 
 def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> SimpleNamespace:
@@ -402,8 +456,8 @@ def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> Si
     base = _theta(gamma0, psi2_0, sigma0, estimate_psi)
 
     def negloglik(theta):
-        gamma, psi2, sigma = _unpack(theta, ws.P, fix_psi2)
-        return -ws.loglik_exact(gamma, psi2, sigma, tau)
+        gamma, psi2, sigma = unpack(theta, ws.P, fix_psi2)
+        return -loglik_exact(ws, gamma, psi2, sigma, tau)
 
     best = None
     jitter_rng = np.random.default_rng(1729)
@@ -421,7 +475,7 @@ def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> Si
         )
         if best is None or res.fun < best.fun:
             best = res
-    gamma, psi2, sigma = _unpack(best.x, ws.P, fix_psi2)
+    gamma, psi2, sigma = unpack(best.x, ws.P, fix_psi2)
     modes = reference_conditional_modes(ws.z, ws.X, ws.starts, gamma, psi2, sigma, tau)
     wbar = float(ws.weights @ modes) / float(ws.weights.sum())
     if wbar != 0.0:
@@ -429,7 +483,7 @@ def scipy_fit_lqmm(data: GroupedData, tau: float, restarts: int, fix_psi2) -> Si
         if np.max(np.abs(ws.X @ c - 1.0)) < 1e-8:
             gamma, modes = gamma + wbar * c, modes - wbar
     return SimpleNamespace(
-        gamma=gamma, psi2=float(psi2), sigma=float(sigma), loglik=ws.loglik_exact(gamma, psi2, sigma, tau),
+        gamma=gamma, psi2=float(psi2), sigma=float(sigma), loglik=loglik_exact(ws, gamma, psi2, sigma, tau),
         u={g: float(m) for g, m in zip(ws.labels, modes)}, converged=bool(best.success),
     )
 
@@ -570,14 +624,14 @@ class TestBootstrap:
             ws = replicate_workspace(data, draw)
 
             def negloglik(theta):
-                gamma, psi2, sigma = _unpack(theta, ws.P, None)
-                return -ws.loglik_exact(gamma, psi2, sigma, 0.5)
+                gamma, psi2, sigma = unpack(theta, ws.P, None)
+                return -loglik_exact(ws, gamma, psi2, sigma, 0.5)
 
             res = minimize(
                 negloglik, theta0, method="Nelder-Mead",
                 options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 300, "maxfev": 300},
             )
-            alone = _finish_fits(_Batch(base, draw[1][None], 0.5), res.x[None], None, True)
+            alone = _finish_fits(batch_of(base, draw[1][None], 0.5), res.x[None], None, True)
             for got, want in zip(lockstep, alone):  # gamma, psi2, sigma, u and loglik
                 assert np.array_equal(got[i], want[0])
             assert success[i] == res.success
@@ -839,7 +893,7 @@ def replicate_batches(draw, design: str):
 
 
 def reference_loglik_exact(ws, gamma, psi2, sigma, tau) -> float:
-    """loglik_exact of one workspace, step by step on whole arrays (the reference)."""
+    """The exact log-likelihood of one workspace, step by step on whole arrays (the reference)."""
     const = math.log(tau * (1.0 - tau)) - math.log(sigma)
     if psi2 <= PSI2_FLOOR:
         resid = ws.z - ws.X @ gamma
@@ -884,34 +938,51 @@ def reference_loglik_exact(ws, gamma, psi2, sigma, tau) -> float:
 
 
 class TestBatchedLoglik:
-    """The batched kernel returns each replicate's loglik_exact, bit for bit.
+    """The batched kernel returns each replicate's own exact log-likelihood, bit for bit.
 
     Each replicate is built as bootstrap_fits must match: a GroupedData of
     the drawn groups, labelled g~k. The reference evaluates one replicate
     at a time with whole-array numpy expressions; the kernel evaluates
-    several replicates at once in work buffers, and the same kernel with
-    one replicate is loglik_exact.
+    several replicates at once in one pass, and the same kernel with one
+    replicate is the replicate's loglik_exact.
     """
 
     def check(self, data, draws, live, params, tau):
         replicates = [replicate_workspace(data, draw) for draw in draws]
-        default = qm._CHUNK
-        # Runs of pieces as long as the batch, and of at most 5 pieces (a
-        # group of 5 rows or more then takes a run of its own).
-        for chunk in (default, 5):
-            qm._CHUNK = chunk
-            try:
-                batch = _Batch(_Workspace(data), np.array([picked for _, picked in draws]), tau)
-                # A subset of the replicates, then all of them: the layout follows.
-                for idx in (live, np.arange(len(draws))):
-                    gamma, psi2, sigma = params[idx, :2], params[idx, 2], params[idx, 3]
-                    got = batch.loglik_exact(idx, gamma, psi2, sigma)
-                    for value, i, g, p, s in zip(got.tolist(), idx, gamma, psi2, sigma):
-                        want = reference_loglik_exact(replicates[i], g, p, s, tau)
-                        assert value == want
-                        assert replicates[i].loglik_exact(g, p, s, tau) == want
-            finally:
-                qm._CHUNK = default
+        batch = batch_of(_Workspace(data), np.array([picked for _, picked in draws]), tau)
+        # A subset of the replicates, then all of them: the layout follows.
+        for idx in (live, np.arange(len(draws))):
+            gamma, psi2, sigma = params[idx, :2], params[idx, 2], params[idx, 3]
+            got = batch.loglik_exact(idx, gamma, psi2, sigma)
+            for value, i, g, p, s in zip(got.tolist(), idx, gamma, psi2, sigma):
+                want = reference_loglik_exact(replicates[i], g, p, s, tau)
+                assert value == want
+                assert loglik_exact(replicates[i], g, p, s, tau) == want
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
+    def test_fixture_scale_batch(self, tau):
+        # A full bootstrap batch at the fixture's scale: 49 draws of 1,323
+        # rows in 20 groups of a two-cell design, about 66k pieces in one
+        # pass. Responses on a 0.001 grid tie as the fixture's do.
+        rng = np.random.default_rng(1323)
+        labels = [f"r{j:02d}" for j in range(20)]
+        sizes = rng.multinomial(1323 - 20 * 10, np.full(20, 0.05)) + 10
+        group = [g for g, m in zip(labels, sizes) for _ in range(m)]
+        cell = (rng.random(1323) < 0.6).astype(float)
+        u = np.repeat(rng.normal(0.0, 0.05, size=20), sizes)
+        z = np.round(np.clip(0.1 + 0.35 * cell + u + rng.normal(0.0, 0.15, size=1323), 0.0, 1.0), 3)
+        data = GroupedData(
+            z=z, X=np.column_stack([1.0 - cell, cell]), group=group,
+            group_weights=dict(zip(labels, rng.uniform(0.5, 2.0, size=20).tolist())),
+        )
+        draws = resamples(_Workspace(data), 7, 49)
+        batch = batch_of(_Workspace(data), np.array([picked for _, picked in draws]), tau)
+        gamma = np.column_stack([rng.normal(0.1, 0.02, size=49), rng.normal(0.45, 0.02, size=49)])
+        psi2, sigma = rng.uniform(1e-4, 1e-2, size=49), rng.uniform(0.02, 0.1, size=49)
+        got = batch.loglik_exact(np.arange(49), gamma, psi2, sigma)
+        assert batch._layout.sg.size > 60_000
+        for i, draw in enumerate(draws):
+            assert got[i] == reference_loglik_exact(replicate_workspace(data, draw), gamma[i], psi2[i], sigma[i], tau)
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(replicate_batches("covariate"))
@@ -940,7 +1011,7 @@ class TestConditionalModes:
     """
 
     def check(self, data, draws, _, params, tau):
-        batch = _Batch(_Workspace(data), np.array([picked for _, picked in draws]), tau)
+        batch = batch_of(_Workspace(data), np.array([picked for _, picked in draws]), tau)
         J = batch.picks.shape[1]
         gamma, psi2, sigma = params[:, :2], params[:, 2], params[:, 3]
         resid = np.concatenate([z - X @ g for (z, X, _), g in zip(map(batch.rows, range(len(draws))), gamma)])
