@@ -99,11 +99,8 @@ class PipelineConfig:
             raise ValidationError("em.tol must be a finite number > 0")
         if not (_is_number(self.em.ridge) and self.em.ridge >= 0):
             raise ValidationError("em.ridge must be a finite number >= 0")
-        kinds = {int: "an explicit integer", bool: "true or false", str: "a string"}
+        kinds = {bool: "true or false", str: "a string"}
         for name, value, kind in (
-            ("ebp.seed", self.ebp.seed, int),
-            ("lqmm.seed", self.lqmm.seed, int),
-            ("simulate.seed", self.simulate.seed, int),
             ("flags.reml", self.flags.reml, bool),
             ("flags.weighted_summaries", self.flags.weighted_summaries, bool),
             ("ebp.rescale_estimates", self.ebp.rescale_estimates, bool),
@@ -112,7 +109,7 @@ class PipelineConfig:
             ("frame_path", self.frame_path, str),
             ("output_dir", self.output_dir, str),
         ):
-            if not (_is_int(value) if kind is int else isinstance(value, kind)):
+            if not isinstance(value, kind):
                 raise ValidationError(f"{name} must be {kinds[kind]}")
         if self.ebp.statistic not in ("median", "mean") and not (
             isinstance(self.ebp.statistic, float) and 0 < self.ebp.statistic < 1
@@ -120,17 +117,20 @@ class PipelineConfig:
             raise ValidationError("ebp.statistic must be 'median', 'mean' or a quantile level")
         if not _is_int(self.quadrature_order) or not 1 <= self.quadrature_order <= 200:
             raise ValidationError("quadrature_order must be an integer in [1, 200]")
-        # Counts and their floors (those of bootstrap_fits, ebp_indicator and
-        # generate_fixture among them), checked here so a stage fails before
-        # any model fit runs.
-        for name, count, low in (
+        # Counts and seeds and their floors (those of bootstrap_fits,
+        # ebp_indicator, generate_fixture and the random streams among them),
+        # checked here so a stage fails before any model fit runs.
+        for name, number, low in (
+            ("ebp.seed", self.ebp.seed, 0),
+            ("lqmm.seed", self.lqmm.seed, 0),
+            ("simulate.seed", self.simulate.seed, 0),
             ("lqmm.bootstrap_B", self.lqmm.bootstrap_B, 50),
             ("ebp.B", self.ebp.B, 1),
             ("em.max_iter", self.em.max_iter, 1),
             ("lqmm.restarts", self.lqmm.restarts, 1),
             ("simulate.n_units", self.simulate.n_units, MIN_SIMULATED_UNITS),
         ):
-            if not _is_int(count) or count < low:
+            if not _is_int(number) or number < low:
                 raise ValidationError(f"{name} must be an integer >= {low}")
         return self
 

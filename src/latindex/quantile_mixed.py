@@ -35,6 +35,7 @@ from scipy.special import log_ndtr
 from .errors import NumericalError, ValidationError
 from .optimize import BatchMinimum, golden_max, nelder_mead_batch
 from .quadrature import DEFAULT_ORDER, HermiteRule, hermite_rule, log_gaussian_expectation
+from .streams import generators
 
 PSI2_FLOOR = 1e-10
 # The smallest psi2 a fit starts from. Bootstrap refits started from a base
@@ -856,7 +857,7 @@ def bootstrap_fits(
         max_fev = MAX_FEV_PER_PARAM * theta0.size
 
     ws = _Workspace(data)
-    picks = np.array([_pick_groups(ws, np.random.default_rng(np.random.SeedSequence((seed, b)))) for b in range(B)])
+    picks = np.array([_pick_groups(ws, rng) for rng in generators(seed, np.arange(B))])
     segments = ws.sizes[picks].sum(axis=1) + picks.shape[1]
     parts = []
     start = 0
@@ -867,6 +868,8 @@ def bootstrap_fits(
         thetas0 = np.tile(theta0, (stop - start, 1))
         batch, res = _fit_lockstep(ws, picks[start:stop], tau, thetas0, None, 1e-5, 1e-8, max_fev)
         parts.append((*_finish_fits(batch, res.x, None, group_effects), res.success))
+        # Free this batch's layout and rows before the next one is built.
+        del batch, res
         start = stop
     gamma, psi2, sigma, u, _, converged = (np.concatenate(part) for part in zip(*parts))
 

@@ -29,6 +29,7 @@ from scipy.linalg import qr as scipy_qr
 
 from .errors import NumericalError, ValidationError
 from .optimize import golden_max
+from .streams import generators
 
 DEFAULT_REPLICATES = 500
 # ebp_indicator evaluates the statistic over a domain's replicates in
@@ -420,15 +421,19 @@ def _census_layout(
     return layout, (math.sqrt(fit.sigma2_e) if fit.sigma2_e > 0 else 0.0)
 
 
-def _draw_synthetic(
-    mean_part: np.ndarray, sd_u: float, sd_e: float, seed: tuple[int, ...], out: np.ndarray
-) -> None:
-    """Write one draw of a domain's out-of-sample units from the substream seed into out."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u_star = rng.normal(0.0, sd_u)
-    eps = rng.normal(0.0, sd_e, size=mean_part.size) if sd_e > 0 else 0.0
-    np.add(mean_part, u_star, out=out)
-    out += eps
+def _draw_synthetic(mean_part: np.ndarray, sd_u: float, sd_e: float, streams, out: np.ndarray) -> None:
+    """Write one draw of a domain's out-of-sample units into each row of out.
+
+    Row i draws u_star, then the errors, from the next generator of
+    streams. numpy's normal(0.0, sd) is 0.0 + sd * standard_normal()
+    element by element, so one standard_normal call per row gives
+    exactly those draws.
+    """
+    z = np.empty((out.shape[0], out.shape[1] + 1))
+    for row, rng in zip(z, streams):
+        rng.standard_normal(out=row)
+    np.add(mean_part, 0.0 + sd_u * z[:, :1], out=out)
+    out += 0.0 + sd_e * z[:, 1:]
 
 
 def simulate_census(
@@ -451,10 +456,10 @@ def simulate_census(
     seed_tuple = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
     layout, sd_e = _census_layout(fit, frame, sample)
     out: dict[str, np.ndarray] = {}
-    for idx, (d, observed, mean_part, sd_u) in enumerate(layout):
+    for (d, observed, mean_part, sd_u), rng in zip(layout, generators(*seed_tuple, np.arange(len(layout)))):
         census = np.concatenate([observed, mean_part])
         if mean_part.size:
-            _draw_synthetic(mean_part, sd_u, sd_e, (*seed_tuple, idx), census[observed.size :])
+            _draw_synthetic(mean_part, sd_u, sd_e, [rng], census[None, observed.size :])
         out[d] = census
     return out
 
@@ -507,11 +512,11 @@ def ebp_indicator(
         rows = min(max(1, _CHUNK // M), B)
         buf = np.empty((rows, M))
         buf[:, :n_obs] = observed
+        streams = generators(seed, np.arange(B), idx)
         for b0 in range(0, B, rows):
-            b1 = min(b0 + rows, B)
-            for b in range(b0, b1):
-                _draw_synthetic(mean_part, sd_u, sd_e, (seed, b, idx), buf[b - b0, n_obs:])
-            estimates[idx, b0:b1] = stat(buf[: b1 - b0], axis=1)
+            k = min(rows, B - b0)
+            _draw_synthetic(mean_part, sd_u, sd_e, streams, buf[:k, n_obs:])
+            estimates[idx, b0 : b0 + k] = stat(buf[:k], axis=1)
 
     est = estimates.mean(axis=1)
     if B > 1:

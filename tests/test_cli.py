@@ -86,6 +86,9 @@ class TestShowConfig:
             '{"simulate": {"n_units": 1.5e3}}',
             '{"quadrature_order": true}',
             '{"lqmm": {"seed": true}}',
+            '{"ebp": {"seed": -1}}',
+            '{"lqmm": {"seed": -1}}',
+            '{"simulate": {"seed": -1}}',
             '{"flags": {"reml": "no"}}',
             '{"flags": {"weighted_summaries": 1}}',
             '{"ebp": {"rescale_estimates": null}}',
@@ -108,6 +111,9 @@ class TestShowConfig:
             "float-n-units",
             "bool-quadrature-order",
             "bool-seed",
+            "negative-ebp-seed",
+            "negative-lqmm-seed",
+            "negative-simulate-seed",
             "string-reml-flag",
             "int-weighted-summaries-flag",
             "null-rescale-estimates-flag",

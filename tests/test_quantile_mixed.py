@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -609,6 +610,26 @@ class TestBootstrap:
                         assert np.array_equal(getattr(first, name), getattr(other, name))
                     assert first.u_by_group == other.u_by_group
                     assert first.n_dropped == other.n_dropped
+
+    def test_finished_batch_is_freed_before_the_next(self, monkeypatch):
+        # Each lockstep batch holds its layout, work buffers and gathered
+        # rows; only one may be alive at a time.
+        data = ragged_grouped(71, "two_cell")
+        fit = fit_lqmm(data, 0.5, restarts=1)
+        batches, alive = [], []
+        refit = qm._fit_lockstep
+
+        def spy(ws, picks, *args):
+            alive.append([ref() is not None for ref in batches])
+            batch, res = refit(ws, picks, *args)
+            batches.append(weakref.ref(batch))
+            return batch, res
+
+        monkeypatch.setattr(qm, "_fit_lockstep", spy)
+        monkeypatch.setattr(qm, "BATCH_SEGMENTS", 20 * (data.n_units + len(data.labels)))
+        bootstrap_fits(data, 0.5, B=50, seed=5, base_fit=fit)
+        assert len(alive) >= 3
+        assert all(not any(seen) for seen in alive)
 
     @pytest.mark.parametrize("two_cell", [False, True])
     def test_lockstep_refit_matches_scipy_refit(self, two_cell):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -445,23 +446,65 @@ class TestEbpIndicator:
     @pytest.mark.parametrize("statistic", ["median", "mean", 0.25])
     @pytest.mark.parametrize("B", [1, 2, 7])
     def test_matches_per_replicate_reference(self, B, statistic):
-        # Replicate b's statistic is that of simulate_census(seed=(s, b));
-        # the estimate is their mean over b and mc_sd their standard
-        # deviation (ddof 1) over sqrt(B). The fully sampled domain p1
-        # reports its direct statistic; the unsampled p0 is simulated.
+        # Replicate b of domain idx (sorted order) draws u_star, then the
+        # errors, from numpy's own default_rng(SeedSequence((s, b, idx)));
+        # the estimate is the mean of the replicates' statistics over b and
+        # mc_sd their standard deviation (ddof 1) over sqrt(B). The fully
+        # sampled domain p1 reports its direct statistic; the unsampled p0
+        # is simulated.
         rng = np.random.default_rng(89)
         sample, frame = tiny_world(rng)
         fit = fit_nested_error(sample)
         res = ebp_indicator(fit, frame, sample, statistic=statistic, B=B, seed=21)
         stat = {"median": np.median, "mean": np.mean}.get(statistic, lambda v: np.quantile(v, statistic))
-        censuses = [simulate_census(fit, frame, sample, seed=(21, b)) for b in range(B)]
-        per = np.array([[stat(census[d]) for census in censuses] for d in res.domains])
+        layout, sd_e = sae_ebp._census_layout(fit, frame, sample)
+        per = np.empty((len(layout), B))
+        for idx, (_, observed, mean_part, sd_u) in enumerate(layout):
+            for b in range(B):
+                draw = np.random.default_rng(np.random.SeedSequence((21, b, idx)))
+                u_star = draw.normal(0.0, sd_u)
+                synthetic = mean_part + u_star + draw.normal(0.0, sd_e, size=mean_part.size)
+                per[idx, b] = stat(np.concatenate([observed, synthetic]))
         estimate = per.mean(axis=1)
         mc_sd = per.std(axis=1, ddof=1) / math.sqrt(B) if B > 1 else np.zeros(len(res.domains))
         i = res.domains.index("p1")
         estimate[i], mc_sd[i] = per[i, 0], 0.0
         assert np.array_equal(res.estimate, estimate)
         assert np.array_equal(res.mc_sd, mc_sd)
+
+    def test_negative_seed_is_a_validation_error(self):
+        rng = np.random.default_rng(93)
+        sample, frame = tiny_world(rng)
+        fit = fit_nested_error(sample)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            ebp_indicator(fit, frame, sample, B=3, seed=-1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            simulate_census(fit, frame, sample, seed=(4, -1))
+
+    def test_streams_are_not_built_per_replicate(self, monkeypatch):
+        # Seeding objects are built per domain at most, never per replicate.
+        rng = np.random.default_rng(91)
+        sample, frame = tiny_world(rng)
+        fit = fit_nested_error(sample)
+        built = Counter()
+
+        def counting(name):
+            make = getattr(np.random, name)
+
+            def spy(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return spy
+
+        for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, counting(name))
+        counts = []
+        for B in (7, 70):
+            built.clear()
+            ebp_indicator(fit, frame, sample, B=B, seed=3)
+            counts.append(dict(built))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("statistic", ["median", "mean", 0.25])
     def test_chunk_does_not_change_results(self, monkeypatch, statistic):
