@@ -5,7 +5,8 @@ fit-ltm -> fit-ebp / fit-lqmm -> report. Every stage consumes and
 produces only its declared files, all randomness flows from the explicit
 seeds in the config, and reruns produce byte-identical outputs.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure (including a path the
+operating system refuses), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -364,12 +365,7 @@ def cmd_report(config: PipelineConfig) -> int:
             row.fail(f"domain {row['domain']!r} is not in the province file")
         ebp_by_province[row["domain"]] = [row.number(c) for c in reported[1:]]
 
-    med = province_summary(
-        scores.scaled, dataset, "median", provinces, weighted=config.flags.weighted_summaries
-    )
-    iqr = province_summary(
-        scores.scaled, dataset, "iqr", provinces, weighted=config.flags.weighted_summaries
-    )
+    summary = province_summary(scores.scaled, dataset, provinces, weighted=config.flags.weighted_summaries)
 
     header = [
         "province",
@@ -384,10 +380,7 @@ def cmd_report(config: PipelineConfig) -> int:
         "ebp_estimate_3dp",
     ]
     rows = []
-    for i, p in enumerate(med.provinces):
-        n_p = int(med.columns["n_sampled"][i])
-        m = med.columns["median"][i]
-        q = iqr.columns["iqr"][i]
+    for p, n_p, m, q in zip(sorted(provinces), *summary):
         if p not in ebp_by_province:
             raise ValidationError(f"province {p!r} missing from the EBP table")
         estimate, clamped, mc_sd = ebp_by_province[p]
@@ -459,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except FileNotFoundError as exc:
         print(f"validation error: missing file: {exc.filename}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # a path that names a directory, or a file where a directory must be
+        print(f"validation error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,9 @@ TITULARITY_LEVELS = ("private", "public")
 SERVICE_TYPE_LEVELS = ("kindergarten", "spring_section")
 
 DEFAULT_LAMBDAS = (0.25, 0.5, 0.75, 1.0)
+
+# The points of a province summary: its median, and its IQR as q3 - q1.
+_QUARTILES = (0.25, 0.5, 0.75)
 
 PROVINCE_COLUMNS = ("province_id", "region", "macro_area", "f_p", "population_units")
 
@@ -114,18 +117,6 @@ class SurveyDataset:
         return len(self.unit_id)
 
 
-@dataclass(frozen=True)
-class ProvinceTable:
-    """Per-province table.
-
-    columns maps a column name to one value per province (nan marks an
-    unsampled province); provinces fixes the row order.
-    """
-
-    provinces: tuple[str, ...]
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
@@ -154,24 +145,18 @@ def load_provinces(path) -> dict[str, ProvinceInfo]:
     return out
 
 
-def _unit_province(row: Row, provinces: dict[str, ProvinceInfo] | None) -> ProvinceInfo | None:
-    """Check the cells a survey row and a frame row share; return the row's province.
-
-    Without a province map (a survey read on its own) the province is not
-    looked up and None is returned.
-    """
-    info = None
-    if provinces is not None:
-        info = provinces.get(row["province"])
-        if info is None:
-            row.fail(f"province {row['province']!r} not in the province file")
+def _unit_province(row: Row, provinces: dict[str, ProvinceInfo]) -> ProvinceInfo:
+    """Check the cells a survey row and a frame row share; return the row's province."""
+    info = provinces.get(row["province"])
+    if info is None:
+        row.fail(f"province {row['province']!r} not in the province file")
     for column, levels in (("titularity", TITULARITY_LEVELS), ("service_type", SERVICE_TYPE_LEVELS)):
         if row[column] not in levels:
             row.fail(f"unknown {column} {row[column]!r}")
     return info
 
 
-def _survey_record(row: Row, provinces: dict[str, ProvinceInfo] | None) -> tuple:
+def _survey_record(row: Row, provinces: dict[str, ProvinceInfo]) -> tuple:
     """One survey row parsed in SURVEY_COLUMNS order; raises at its first problem."""
     weight = row.number("sampling_weight")
     if weight <= 0:
@@ -180,7 +165,7 @@ def _survey_record(row: Row, provinces: dict[str, ProvinceInfo] | None) -> tuple
     if count < 0:
         row.fail("foreign_enrolled_count must be nonnegative")
     info = _unit_province(row, provinces)
-    if info is not None and (info.region, info.macro_area) != (row["region"], row["macro_area"]):
+    if (info.region, info.macro_area) != (row["region"], row["macro_area"]):
         row.fail(
             f"region/macro_area do not match the province file for province {row['province']!r}"
         )
@@ -191,14 +176,14 @@ def _survey_record(row: Row, provinces: dict[str, ProvinceInfo] | None) -> tuple
     )
 
 
-def load_survey(path, provinces: dict[str, ProvinceInfo] | None = None) -> SurveyDataset:
+def load_survey(path, provinces: dict[str, ProvinceInfo]) -> SurveyDataset:
     """Read and validate the unit-level survey file.
 
     Every invalid row is reported with its line number (the first problem
     of each, up to 20 rows). A repeated unit_id is invalid, and names the
-    line of its first occurrence. When the province map is given, each
-    unit's province must exist in it and the row's region/macro_area must
-    match the map (the nesting hierarchy).
+    line of its first occurrence. Each unit's province must exist in the
+    province map, and the row's region/macro_area must match the map (the
+    nesting hierarchy).
     """
     records, problems = [], []
     first_line: dict[str, int] = {}
@@ -339,34 +324,6 @@ def build_item_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _weighted_stat(values: np.ndarray, weights: np.ndarray, statistic: str) -> float:
-    if statistic == "mean":
-        return float(weights @ values / weights.sum())
-    order = np.argsort(values, kind="stable")
-    v, w = values[order], weights[order]
-    cw = np.cumsum(w) - 0.5 * w
-    cw /= w.sum()
-
-    def interp(q):
-        return float(np.interp(q, cw, v))
-
-    if statistic == "median":
-        return interp(0.5)
-    if statistic == "iqr":
-        return interp(0.75) - interp(0.25)
-    raise ValidationError(f"unsupported statistic {statistic!r}")
-
-
-def _unweighted_stat(values: np.ndarray, statistic: str) -> float:
-    if statistic == "mean":
-        return float(values.mean())
-    if statistic == "median":
-        return float(np.quantile(values, 0.5))
-    if statistic == "iqr":
-        return float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
-    raise ValidationError(f"unsupported statistic {statistic!r}")
-
-
 def encode_design(
     titularity,
     service_type,
@@ -412,43 +369,49 @@ def encode_design(
     return np.column_stack(cols), tuple(names)
 
 
-def province_summary(
-    values,
-    dataset: SurveyDataset,
-    statistic: str,
-    provinces: dict[str, ProvinceInfo] | None = None,
-    *,
-    weighted: bool = False,
-) -> ProvinceTable:
-    """Per-province statistic of a unit-level variable.
+def _domain_rows(domain: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Ascending row indices of each domain, keyed in sorted domain order.
 
-    Unweighted over sampled units by default (weighted=True switches to
-    the sampling-weighted variant). Provinces without sampled units are
-    reported as missing. The row set is the province map when given,
-    otherwise the provinces observed in the data.
+    One stable sort groups all rows, so the cost is O(n log n) however
+    many domains there are.
+    """
+    if not domain:
+        return {}
+    dom = np.asarray(domain, dtype=object)
+    order = np.argsort(dom, kind="stable")
+    cuts = np.flatnonzero(dom[order][1:] != dom[order][:-1]) + 1
+    return {str(dom[rows[0]]): rows for rows in np.split(order, cuts)}
+
+
+def province_summary(
+    values, dataset: SurveyDataset, provinces: dict[str, ProvinceInfo], *, weighted: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_sampled, median, iqr) of a unit-level variable, one entry per
+    province of the map in sorted order.
+
+    Unweighted over sampled units (type-7 quantiles), or sampling-weighted
+    when weighted; nan marks a province without sampled units. One stable
+    sort groups the rows, which keep their input order within a province.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (dataset.n_units,):
         raise ValidationError("values must align with the dataset's units")
-    if provinces is not None:
-        province_list = sorted(provinces)
-    else:
-        province_list = sorted(set(dataset.province))
-    prov = np.asarray(dataset.province, dtype=object)
-
-    n_sampled = np.zeros(len(province_list))
-    out = np.full(len(province_list), math.nan)
-    for i, p in enumerate(province_list):
-        mask = prov == p
-        n_sampled[i] = int(mask.sum())
-        if not mask.any():
+    rows = _domain_rows(dataset.province)
+    names = sorted(provinces)
+    n_sampled = np.zeros(len(names), dtype=int)
+    median = np.full(len(names), math.nan)
+    iqr = np.full(len(names), math.nan)
+    for i, p in enumerate(names):
+        if p not in rows:
             continue
-        v = values[mask]
+        v = values[rows[p]]
         if weighted:
-            out[i] = _weighted_stat(v, dataset.sampling_weight[mask], statistic)
+            order = np.argsort(v, kind="stable")
+            v, w = v[order], dataset.sampling_weight[rows[p]][order]
+            cw = np.cumsum(w) - 0.5 * w
+            cw /= w.sum()
+            q = np.interp(_QUARTILES, cw, v)
         else:
-            out[i] = _unweighted_stat(v, statistic)
-    return ProvinceTable(
-        provinces=tuple(province_list),
-        columns={"n_sampled": n_sampled, statistic: out},
-    )
+            q = np.quantile(v, _QUARTILES)
+        n_sampled[i], median[i], iqr[i] = v.size, q[1], q[2] - q[0]
+    return n_sampled, median, iqr

@@ -45,28 +45,24 @@ class BatchMinimum:
     success: np.ndarray  # (B,) bool
 
 
-def nelder_mead_batch(fun, x0, *, xatol=1e-4, fatol=1e-4, maxiter=None, maxfev=None) -> BatchMinimum:
+def nelder_mead_batch(fun, x0, *, xatol, fatol, maxfev) -> BatchMinimum:
     """Run B independent Nelder-Mead minimizations in lockstep.
 
-    A port of scipy 1.17.1's ``_minimize_neldermead`` (default options, no
-    bounds) that holds the B simplices as one (B, N+1, N) array. Each
-    round, ``fun(idx, points)`` receives the indices of the replicates
-    still running and one point each, and returns their objective values.
-    Every replicate takes exactly the path scipy takes on its objective
-    alone: the same initial simplex, vertex ordering, steps, stopping
-    tests and evaluation budget, including the cut inside a shrink when
-    maxfev runs out, where the shrunk vertex keeps its old value. So x,
-    fun, nfev, nit and success equal scipy's, bit for bit.
+    A port of scipy 1.17.1's ``_minimize_neldermead`` (no bounds, and an
+    iteration cap equal to maxfev) that holds the B simplices as one
+    (B, N+1, N) array. Each round, ``fun(idx, points)`` receives
+    the indices of the replicates still running and one point each, and
+    returns their objective values. Every replicate takes exactly the path
+    scipy takes on its objective alone: the same initial simplex, vertex
+    ordering, steps, stopping tests and evaluation budget, including the
+    cut inside a shrink when maxfev runs out, where the shrunk vertex
+    keeps its old value. So x, fun, nfev, nit and success equal scipy's,
+    bit for bit. The iteration cap never binds before maxfev does: once
+    the initial simplex is evaluated, nfev >= nit + N.
     """
     x0 = np.array(x0, dtype=float, ndmin=2)
     B, N = x0.shape
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    if maxiter is None and maxfev is None:
-        maxiter = maxfev = N * 200
-    elif maxiter is None:
-        maxiter = N * 200 if maxfev == np.inf else np.inf
-    elif maxfev is None:
-        maxfev = N * 200 if maxiter == np.inf else np.inf
 
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
     for k in range(N):
@@ -112,7 +108,7 @@ def nelder_mead_batch(fun, x0, *, xatol=1e-4, fatol=1e-4, maxiter=None, maxfev=N
         if init_done.size:
             order(init_done)  # scipy sorts the initial simplex twice
         s, fs = sim[ended], fsim[ended]
-        go = (fcalls[ended] < maxfev) & (nit[ended] < maxiter)
+        go = fcalls[ended] < maxfev
         with np.errstate(invalid="ignore"):  # inf - inf: nan fails the test, as in scipy
             converged = (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol) & (
                 np.max(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= fatol
@@ -197,7 +193,6 @@ def nelder_mead_batch(fun, x0, *, xatol=1e-4, fatol=1e-4, maxiter=None, maxfev=N
 
         settle(np.concatenate(asked), np.concatenate(init_done), np.concatenate(iter_done))
 
-    status = np.where(fcalls >= maxfev, 1, np.where(nit >= maxiter, 2, 0))
     return BatchMinimum(
-        x=sim[:, 0].copy(), fun=np.min(fsim, axis=1), nfev=fcalls, nit=nit, success=status == 0
+        x=sim[:, 0].copy(), fun=np.min(fsim, axis=1), nfev=fcalls, nit=nit, success=fcalls < maxfev
     )

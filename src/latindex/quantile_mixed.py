@@ -145,7 +145,6 @@ class QuantilePrediction:
     point: float
     ci_low: float
     ci_high: float
-    ci_level: float = 0.95
 
     def __post_init__(self):
         if not (self.ci_low <= self.point <= self.ci_high):
@@ -621,7 +620,7 @@ def _fit_lockstep(
     def negloglik(idx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return -batch.loglik_exact(idx, *_params(thetas, ws.P, fix_psi2))
 
-    res = nelder_mead_batch(negloglik, thetas0, xatol=xatol, fatol=fatol, maxiter=max_fev, maxfev=max_fev)
+    res = nelder_mead_batch(negloglik, thetas0, xatol=xatol, fatol=fatol, maxfev=max_fev)
     return batch, res
 
 
@@ -817,7 +816,9 @@ def _pick_groups(ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
     Copy k of group g is labelled f"{g}~{k}" and the copies are ordered
     as those labels sort, exactly as _Workspace orders them when built
     from the resampled GroupedData: that order fixes the summation order
-    of the likelihood. The labels themselves are not kept.
+    of the likelihood. The labels themselves are not kept. No integer key
+    gives that order when labels hold "~": "a~1~1" (copy 1 of "a~1") sorts
+    between "a~0" and "a~5", which ranking label + "~" first would not.
     """
     J = len(ws.labels)
     picks = rng.integers(0, J, size=J)

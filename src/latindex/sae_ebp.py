@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from .errors import NumericalError, ValidationError
+from .features import _domain_rows
 from .optimize import golden_max
 from .streams import generators
 
@@ -226,20 +227,6 @@ def _check_full_rank(X: np.ndarray, column_names: tuple[str, ...] | None) -> Non
         bad = sorted(piv[rank:])
         names = ", ".join(str(j) if column_names is None else column_names[j] for j in bad)
         raise ValidationError(f"design matrix is rank deficient; collinear column(s): {names}")
-
-
-def _domain_rows(domain: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Ascending row indices of each domain, keyed in sorted domain order.
-
-    One stable sort groups all rows, so the cost is O(n log n) however
-    many domains there are.
-    """
-    if not domain:
-        return {}
-    dom = np.asarray(domain, dtype=object)
-    order = np.argsort(dom, kind="stable")
-    cuts = np.flatnonzero(dom[order][1:] != dom[order][:-1]) + 1
-    return {str(dom[rows[0]]): rows for rows in np.split(order, cuts)}
 
 
 def _in_order(terms: np.ndarray):

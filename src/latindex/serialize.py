@@ -97,12 +97,16 @@ def read_delimited(path, required: Sequence[str] | None = None) -> tuple[list[st
     """Read a delimited file into (header, rows), checking required columns.
 
     Blank lines are skipped, and each Row records the line it starts on.
+    A header that names a column twice is a SchemaError.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next((raw for raw in reader if raw), None)
         if header is None:
             raise SchemaError(f"{path}: file is empty")
+        repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+        if repeated is not None:  # a Row would silently keep its last cell
+            raise SchemaError(f"{path}: column {repeated!r} appears twice in the header")
         if required is not None:
             missing = [c for c in required if c not in header]
             if missing:

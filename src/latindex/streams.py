@@ -35,12 +35,13 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _words(part, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, W) uint32 words of each entry of part, least significant first, and
-    the (n,) number each entry uses: one for 0, as many as the value needs otherwise.
+def _words(part, n: int) -> np.ndarray:
+    """(n, W) uint32 words of each entry of part, least significant first.
 
-    part is one nonnegative integer of any size, shared by all n keys, or a
-    1-d integer array of n entries below 2**64.
+    part is one nonnegative integer of any size, shared by all n keys (one
+    word for 0, as many as the value needs otherwise), or a 1-d integer
+    array of n entries below 2**32 (one word each), so every key has the
+    same entropy layout.
     """
     if isinstance(part, (int, np.integer)):
         value = int(part)
@@ -49,16 +50,15 @@ def _words(part, n: int) -> tuple[np.ndarray, np.ndarray]:
         words = [value & _MASK32]
         while value := value >> 32:
             words.append(value & _MASK32)
-        return np.tile(np.array(words, dtype=np.uint32), (n, 1)), np.full(n, len(words))
+        return np.tile(np.array(words, dtype=np.uint32), (n, 1))
     part = np.asarray(part)
     if part.ndim != 1 or part.shape[0] != n or part.dtype.kind not in "iu":
         raise ValidationError("a stream key part must be an integer or a 1-d integer array of the key count")
-    if part.dtype.kind == "i" and (part < 0).any():
+    if n and part.min() < 0:
         raise ValidationError(f"stream key parts must be nonnegative, got {part.min()}")
-    part = part.astype(np.uint64)
-    high = (part >> np.uint64(32)).astype(np.uint32)
-    low = (part & np.uint64(_MASK32)).astype(np.uint32)
-    return np.stack([low, high], axis=1), 1 + (high > 0)
+    if n and part.max() > _MASK32:
+        raise ValidationError(f"stream key array entries must lie below 2**32, got {part.max()}")
+    return part.astype(np.uint32)[:, None]
 
 
 def _hash_consts(count: int) -> list[tuple[int, int]]:
@@ -119,9 +119,10 @@ def pcg64_states(*parts) -> list[tuple[int, int]]:
     """The (state, inc) of PCG64(SeedSequence(key)) for each key (*parts).
 
     Each part is a nonnegative integer shared by every key or a 1-d
-    integer array with one entry per key; key i is the tuple of the
-    parts' i-th entries, e.g. pcg64_states(seed, np.arange(B), idx) for
-    the keys (seed, b, idx). Raises ValidationError for a negative part.
+    integer array with one entry below 2**32 per key; key i is the tuple
+    of the parts' i-th entries, e.g. pcg64_states(seed, np.arange(B), idx)
+    for the keys (seed, b, idx). Raises ValidationError for a negative
+    part or an array entry of 2**32 or more.
     """
     if not parts:
         raise ValidationError("a stream key needs at least one part")
@@ -129,21 +130,7 @@ def pcg64_states(*parts) -> list[tuple[int, int]]:
     if len(lengths) > 1:
         raise ValidationError("stream key arrays must have equal lengths")
     n = lengths.pop() if lengths else 1
-    cols = [_words(p, n) for p in parts]
-    counts = np.stack([c for _, c in cols], axis=1)
-    # Keys whose parts use the same word counts share one entropy layout:
-    # all keys, unless an array part has entries on both sides of 2**32.
-    if (counts == counts[0]).all():
-        groups = [(np.arange(n), counts[0])]
-    else:
-        patterns, which = np.unique(counts, axis=0, return_inverse=True)
-        groups = [(np.flatnonzero(which.ravel() == k), pattern) for k, pattern in enumerate(patterns)]
-    states: list[tuple[int, int] | None] = [None] * n
-    for rows, pattern in groups:
-        entropy = np.concatenate([w[rows, :c] for (w, _), c in zip(cols, pattern)], axis=1)
-        for r, st in zip(rows.tolist(), _pcg64_states(_pool(entropy))):
-            states[r] = st
-    return states
+    return _pcg64_states(_pool(np.concatenate([_words(p, n) for p in parts], axis=1)))
 
 
 def generators(*parts) -> Iterator[np.random.Generator]:

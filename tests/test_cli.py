@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -226,6 +227,38 @@ class TestSimulateAndFeatures:
 
     def test_missing_file_exits_2(self, pipeline_config):
         assert run("features", pipeline_config) == 2
+
+    def test_column_named_twice_in_the_header_exits_2(self, pipeline_config, capsys):
+        # A second fee column holding the complement of the first: a Row
+        # keyed by column name would keep only the second one.
+        assert run("simulate", pipeline_config) == 0
+        path = load_config(pipeline_config).survey_path
+        lines = open(path).read().splitlines()
+        j = lines[0].split(",").index("fee")
+        flip = {"0": "1", "1": "0", "": ""}
+        lines = [lines[0] + ",fee"] + [line + "," + flip[line.split(",")[j]] for line in lines[1:]]
+        open(path, "w").write("\n".join(lines) + "\n")
+        assert run("features", pipeline_config) == 2
+        assert capsys.readouterr().err == f"validation error: {path}: column 'fee' appears twice in the header\n"
+
+    @pytest.mark.parametrize(
+        "field, code",
+        [("survey_path", errno.EISDIR), ("output_dir", errno.EEXIST)],
+        ids=["directory-as-survey", "file-as-output-dir"],
+    )
+    def test_unusable_path_exits_2_in_one_line(self, pipeline_config, tmp_path, capsys, field, code):
+        # A survey path that names a directory; an output_dir that names a file.
+        assert run("simulate", pipeline_config) == 0
+        bad = tmp_path / "bad"
+        if field == "survey_path":
+            bad.mkdir()
+        else:
+            bad.write_text("")
+        cfg = json.loads(open(pipeline_config).read())
+        cfg[field] = str(bad)
+        open(pipeline_config, "w").write(json.dumps(cfg))
+        assert run("features", pipeline_config) == 2
+        assert capsys.readouterr().err == f"validation error: {os.strerror(code)}: {bad}\n"
 
 
 class TestFitStages:

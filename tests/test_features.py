@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latindex.errors import SchemaError, ValidationError
 from latindex.features import (
@@ -104,7 +106,7 @@ class TestLoadSurvey:
         survey = tmp_path / "survey.csv"
         survey.write_text("unit_id,province\nu1,p1\n")
         with pytest.raises(SchemaError, match="mandatory"):
-            load_survey(survey)
+            load_survey(survey, {})
 
     def test_non_binary_item_rejected(self, tmp_path):
         row = self.well_formed_row("u1").replace(",1,0,1,", ",2,0,1,", 1)
@@ -220,50 +222,120 @@ class TestBuildItemMatrix:
         np.testing.assert_array_equal(matrix.weights, ds.sampling_weight)
 
 
+def survey_of(province, weights):
+    """A SurveyDataset with the given unit provinces and weights (other cells fixed)."""
+    n = len(province)
+    return SurveyDataset(
+        unit_id=tuple(f"u{i}" for i in range(n)),
+        province=tuple(province),
+        region=("r1",) * n,
+        macro_area=("north",) * n,
+        titularity=("public",) * n,
+        service_type=("kindergarten",) * n,
+        sampling_weight=np.asarray(weights, dtype=float),
+        foreign_enrolled_count=np.zeros(n),
+        items={name: np.zeros(n) for name in RAW_ITEMS},
+    )
+
+
+def reference_summary(values, ds, provinces, weighted):
+    """One masked scan per province and statistic, as the report's summary once ran."""
+    prov = np.asarray(ds.province, dtype=object)
+    n_sampled, median, iqr = [], [], []
+    for p in sorted(provinces):
+        mask = prov == p
+        n_sampled.append(int(mask.sum()))
+        if not mask.any():
+            median.append(np.nan)
+            iqr.append(np.nan)
+            continue
+        v = values[mask]
+        if weighted:
+            order = np.argsort(v, kind="stable")
+            v, w = v[order], ds.sampling_weight[mask][order]
+            cw = np.cumsum(w) - 0.5 * w
+            cw /= w.sum()
+            median.append(float(np.interp(0.5, cw, v)))
+            iqr.append(float(np.interp(0.75, cw, v)) - float(np.interp(0.25, cw, v)))
+        else:
+            median.append(float(np.quantile(v, 0.5)))
+            iqr.append(float(np.quantile(v, 0.75) - np.quantile(v, 0.25)))
+    return np.array(n_sampled), np.array(median), np.array(iqr)
+
+
+def info(p):
+    return ProvinceInfo(p, "r1", "north", 1.0, 5)
+
+
 class TestProvinceSummary:
     def test_two_point_example(self):
         ds = small_dataset(provinces=("p1", "p1", "p2", "p2", "p3", "p3"))
         values = np.array([0.0, 1.0, 0.3, 0.3, 0.2, 0.8])
-        med = province_summary(values, ds, "median")
-        iqr = province_summary(values, ds, "iqr")
-        i = med.provinces.index("p1")
-        assert med.columns["median"][i] == pytest.approx(0.5)
-        assert iqr.columns["iqr"][i] == pytest.approx(0.5)
+        n_sampled, median, iqr = province_summary(values, ds, {p: info(p) for p in ("p1", "p2", "p3")}, weighted=False)
+        assert n_sampled[0] == 2
+        assert median[0] == pytest.approx(0.5)
+        assert iqr[0] == pytest.approx(0.5)
 
     def test_single_unit_province(self):
         ds = small_dataset(provinces=("p1", "p2", "p2", "p2", "p2", "p2"))
         values = np.array([0.7, 0.1, 0.2, 0.3, 0.4, 0.5])
-        med = province_summary(values, ds, "median")
-        iqr = province_summary(values, ds, "iqr")
-        i = med.provinces.index("p1")
-        assert med.columns["median"][i] == pytest.approx(0.7)
-        assert iqr.columns["iqr"][i] == 0.0
+        n_sampled, median, iqr = province_summary(values, ds, {p: info(p) for p in ("p1", "p2")}, weighted=False)
+        assert n_sampled[0] == 1
+        assert median[0] == pytest.approx(0.7)
+        assert iqr[0] == 0.0
 
     def test_constant_province_iqr_zero(self):
         ds = small_dataset()
         values = np.full(6, 0.4)
-        iqr = province_summary(values, ds, "iqr")
-        assert np.all(iqr.columns["iqr"] == 0.0)
+        _, _, iqr = province_summary(values, ds, {p: info(p) for p in ("p1", "p2", "p3")}, weighted=False)
+        assert np.all(iqr == 0.0)
 
     def test_unsampled_province_marked_missing(self):
         ds = small_dataset()
-        provinces = {p: ProvinceInfo(p, "r", "m", 1.0, 5) for p in ("p1", "p2", "p3", "p9")}
-        table = province_summary(np.linspace(0, 1, 6), ds, "mean", provinces)
-        i = table.provinces.index("p9")
-        assert np.isnan(table.columns["mean"][i])
-
-    def test_binary_mean_in_unit_interval(self):
-        ds = small_dataset()
-        table = province_summary(ds.items["meal"], ds, "mean")
-        vals = table.columns["mean"]
-        vals = vals[~np.isnan(vals)]
-        assert np.all((vals >= 0) & (vals <= 1))
+        provinces = {p: info(p) for p in ("p1", "p2", "p3", "p9")}
+        n_sampled, median, iqr = province_summary(np.linspace(0, 1, 6), ds, provinces, weighted=False)
+        assert n_sampled[3] == 0
+        assert np.isnan(median[3]) and np.isnan(iqr[3])
 
     def test_weighted_variant(self):
         ds = small_dataset(provinces=("p1",) * 6)
         object.__setattr__(ds, "sampling_weight", np.array([9.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
         values = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        unweighted = province_summary(values, ds, "mean")
-        weighted = province_summary(values, ds, "mean", weighted=True)
-        assert unweighted.columns["mean"][0] == pytest.approx(5 / 6)
-        assert weighted.columns["mean"][0] == pytest.approx(5 / 14)
+        _, median, iqr = province_summary(values, ds, {"p1": info("p1")}, weighted=False)
+        assert (median[0], iqr[0]) == (1.0, 0.0)
+        # Cumulative weight midpoints (4.5, 9.5, 10.5, ...) / 14 put the
+        # weighted median halfway between the 0 and the first 1.
+        _, median, iqr = province_summary(values, ds, {"p1": info("p1")}, weighted=True)
+        assert median[0] == pytest.approx(0.5)
+        assert iqr[0] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda K: st.tuples(
+                st.just(K),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, K - 1),
+                        st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 1.0)), st.floats(0.0, 1.0)),
+                        st.one_of(st.sampled_from((0.5, 1.0, 3.0)), st.floats(0.01, 100.0)),
+                    ),
+                    min_size=1,
+                    max_size=40,
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_one_pass_equals_one_scan_per_statistic(self, case, weighted):
+        # Ragged provinces (p10 sorts before p2), tied values and weights,
+        # single-unit provinces and provinces of the map with no units.
+        K, units = case
+        names = [f"p{k}" for k in range(K)]
+        ds = survey_of([names[k] for k, _, _ in units], [w for _, _, w in units])
+        values = np.array([v for _, v, _ in units])
+        provinces = {p: info(p) for p in names}
+        got = province_summary(values, ds, provinces, weighted=weighted)
+        want = reference_summary(values, ds, provinces, weighted)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)

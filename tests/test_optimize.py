@@ -40,25 +40,22 @@ def lqmm_objective():
     return negloglik
 
 
-# (objective, x0, maxfev, maxiter). Constant with N = 2 and maxfev = 6:
+# (objective, x0, maxfev). Constant with N = 2 and maxfev = 6:
 # three initial vertices, a reflection, an inside contraction that ties,
 # then a shrink whose second vertex is moved but not evaluated.
 CASES = [
-    (rosenbrock, [-1.2, 1.0], 1000, 1000),  # converges
-    (rosenbrock, [-1.2, 1.0, 0.0], 25, 25),  # stopped by maxfev
-    (rosenbrock, [0.5, 0.0], None, 9),  # stopped by maxiter
-    (plateau, [0.0, 2.0, -1.0], 300, 300),  # ties throughout
-    (constant, [1.0, 2.0], 1000, 1000),  # shrinks until the simplex converges
-    (constant, [1.0, 2.0], 6, 6),  # maxfev cut in the middle of a shrink
-    (constant, [0.0, 0.0, 3.0], 8, 8),  # cut in the middle of a shrink, zero start
-    (lqmm_objective(), [0.5, math.log(0.05), math.log(0.003)], 400, 400),
+    (rosenbrock, [-1.2, 1.0], 1000),  # converges
+    (rosenbrock, [-1.2, 1.0, 0.0], 25),  # stopped by maxfev
+    (plateau, [0.0, 2.0, -1.0], 300),  # ties throughout
+    (constant, [1.0, 2.0], 1000),  # shrinks until the simplex converges
+    (constant, [1.0, 2.0], 6),  # maxfev cut in the middle of a shrink
+    (constant, [0.0, 0.0, 3.0], 8),  # cut in the middle of a shrink, zero start
+    (lqmm_objective(), [0.5, math.log(0.05), math.log(0.003)], 400),
 ]
 
 
-def scipy_nm(fun, x0, maxfev, maxiter):
-    options = {"xatol": 1e-6, "fatol": 1e-9, "maxiter": maxiter}
-    if maxfev is not None:
-        options["maxfev"] = maxfev
+def scipy_nm(fun, x0, maxfev):
+    options = {"xatol": 1e-6, "fatol": 1e-9, "maxiter": maxfev, "maxfev": maxfev}
     return minimize(fun, np.array(x0, dtype=float), method="Nelder-Mead", options=options)
 
 
@@ -73,14 +70,13 @@ def assert_same(ref, got, b):
 class TestNelderMeadBatch:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_single_replicate_matches_scipy(self, case):
-        fun, x0, maxfev, maxiter = CASES[case]
-        ref = scipy_nm(fun, x0, maxfev, maxiter)
+        fun, x0, maxfev = CASES[case]
+        ref = scipy_nm(fun, x0, maxfev)
         got = nelder_mead_batch(
             lambda idx, pts: [fun(p) for p in pts],
             [x0],
             xatol=1e-6,
             fatol=1e-9,
-            maxiter=maxiter,
             maxfev=maxfev,
         )
         assert_same(ref, got, 0)
@@ -93,14 +89,13 @@ class TestNelderMeadBatch:
             runs = [(f, x) for f, x, *_ in CASES if len(x) == N]
             runs += [(f, rng.normal(0.0, 1.5, size=N)) for f in (rosenbrock, plateau) for _ in range(4)]
             for maxfev in (6, 40, 1000):
-                refs = [scipy_nm(f, x, maxfev, maxfev) for f, x in runs]
+                refs = [scipy_nm(f, x, maxfev) for f, x in runs]
                 funs = [f for f, _ in runs]
                 got = nelder_mead_batch(
                     lambda idx, pts: [funs[i](p) for i, p in zip(idx, pts)],
                     [x for _, x in runs],
                     xatol=1e-6,
                     fatol=1e-9,
-                    maxiter=maxfev,
                     maxfev=maxfev,
                 )
                 for b, ref in enumerate(refs):
@@ -113,7 +108,7 @@ class TestNelderMeadBatch:
             seen.append(idx.copy())
             return [rosenbrock(p) for p in pts]
 
-        got = nelder_mead_batch(fun, [[-1.2, 1.0], [1.0, 1.0]], maxiter=500, maxfev=500)
+        got = nelder_mead_batch(fun, [[-1.2, 1.0], [1.0, 1.0]], xatol=1e-4, fatol=1e-4, maxfev=500)
         assert sum(len(i) for i in seen) == got.nfev.sum()
         assert all(len(i) == len(set(i.tolist())) for i in seen)
         assert len(seen) == got.nfev.max()

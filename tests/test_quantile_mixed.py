@@ -726,6 +726,24 @@ class TestBootstrap:
             first.setdefault(label.rsplit("~", 1)[0], float(k))
         assert boot.u_by_group[0] == first
 
+    def test_copies_are_ordered_as_their_label_strings_sort(self):
+        # Labels may hold "~". Copy 1 of group "a~1" is "a~1~1", which sorts
+        # between copies 0 and 5 of "a": a~0 < a~1~1 < a~5. Ranking copies by
+        # (label + "~", then str(k)) would put it after both, so the order
+        # stays that of the label strings, which _Workspace also sorts.
+        labels = ["a", "a~1", "b", "c", "d", "e"]
+        drawn = np.array([0, 1, 2, 3, 4, 0])
+        rng = SimpleNamespace(integers=lambda lo, hi, size: drawn.copy())
+        picked = _pick_groups(SimpleNamespace(labels=labels), rng)
+        assert picked.tolist() == [0, 1, 0, 2, 3, 4]
+        copies = GroupedData(
+            z=np.linspace(0.1, 0.9, 6),
+            X=np.ones((6, 1)),
+            group=[f"{labels[j]}~{k}" for k, j in enumerate(drawn.tolist())],
+            group_weights={f"{labels[j]}~{k}": 1.0 for k, j in enumerate(drawn.tolist())},
+        )
+        assert _Workspace(copies).labels == ["a~0", "a~1~1", "a~5", "b~2", "c~3", "d~4"]
+
     def test_without_group_effects_conditional_intervals_are_refused(self):
         # Such a bootstrap has no modes to add to its refits' predictions.
         rng = np.random.default_rng(47)

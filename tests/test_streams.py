@@ -51,13 +51,21 @@ def test_any_key_matches_numpy(key):
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(0, 2**70),
-    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20),
     st.integers(0, 2**32 - 1),
 )
 def test_array_part_matches_numpy_key_by_key(seed, column, idx):
-    # Entries of one array part may need one word or two.
+    # Array entries are one word each; the scalar parts may take several.
     got = pcg64_states(seed, np.array(column, dtype=np.uint64), idx)
     assert got == [reference((seed, b, idx)) for b in column]
+
+
+@pytest.mark.parametrize("column", [[2**32], [0, 5, 2**64 - 1]])
+def test_two_word_array_entry_is_rejected(column):
+    # A scalar part of that size is fine: only array entries share one layout.
+    assert pcg64_states(7, column[-1], 3) == [reference((7, column[-1], 3))]
+    with pytest.raises(ValidationError, match="below 2\\*\\*32"):
+        pcg64_states(7, np.array(column, dtype=np.uint64), 3)
 
 
 def test_replicate_keys_match_numpy():
