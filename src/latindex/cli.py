@@ -23,12 +23,12 @@ import numpy as np
 from .config import PipelineConfig, load_config, tau_tag
 from .errors import NumericalError, ValidationError
 from .features import (
-    DEFAULT_LAMBDAS,
+    TITULARITY_LEVELS,
     ProvinceInfo,
-    _unit_province,
     build_item_matrix,
     encode_design,
     foreign_rate,
+    load_frame,
     load_provinces,
     load_survey,
     province_summary,
@@ -51,6 +51,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 log = logging.getLogger("latindex")
+
+# The columns of ebp_provinces.csv, written by fit-ebp and read by report.
+EBP_COLUMNS = ("domain", "estimate", "estimate_clamped", "mc_sd", "B", "seed")
 
 
 def _out(config: PipelineConfig, name: str) -> str:
@@ -106,7 +109,7 @@ def cmd_features(config: PipelineConfig) -> int:
     dataset = load_survey(config.survey_path, provinces)
     f_by_province = {p: info.f_p for p, info in provinces.items()}
     rates = foreign_rate(dataset, f_by_province)
-    matrix = build_item_matrix(dataset, rates, DEFAULT_LAMBDAS)
+    matrix = build_item_matrix(dataset, rates)
     write_item_matrix(matrix, _out(config, "items.csv"))
 
     n_sampled = Counter(dataset.province)
@@ -154,7 +157,11 @@ def cmd_fit_ltm(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _load_scores_for(dataset_units, path):
+def _load_scored_survey(config: PipelineConfig):
+    """(provinces, dataset, scores): the survey and fit-ltm's scores of its units."""
+    provinces = load_provinces(config.province_path)
+    dataset = load_survey(config.survey_path, provinces)
+    path = _out(config, "scores.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scores = scores_from_json(fh.read())
@@ -162,17 +169,15 @@ def _load_scores_for(dataset_units, path):
         raise ValidationError("missing fit-ltm output (run the fit-ltm stage first)") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed scores file: {exc!r}") from None
-    if tuple(scores.unit_ids) != tuple(dataset_units):
+    if tuple(scores.unit_ids) != dataset.unit_id:
         raise ValidationError(
             "scores.json units do not match the survey file (rerun features/fit-ltm)"
         )
-    return scores
+    return provinces, dataset, scores
 
 
 def cmd_fit_ebp(config: PipelineConfig) -> int:
-    provinces = load_provinces(config.province_path)
-    dataset = load_survey(config.survey_path, provinces)
-    scores = _load_scores_for(dataset.unit_id, _out(config, "scores.json"))
+    provinces, dataset, scores = _load_scored_survey(config)
     region_levels = tuple(sorted({info.region for info in provinces.values()}))
 
     X_s, columns = encode_design(
@@ -182,19 +187,11 @@ def cmd_fit_ebp(config: PipelineConfig) -> int:
         y=scores.scaled, X=X_s, domain=dataset.province, column_names=columns
     )
 
-    _, frame_rows = read_delimited(
-        config.frame_path, required=("unit_id", "province", "titularity", "service_type")
-    )
-    f_reg = [_unit_province(r, provinces).region for r in frame_rows]
-    f_prov = [r["province"] for r in frame_rows]
-    f_tit = [r["titularity"] for r in frame_rows]
-    f_srv = [r["service_type"] for r in frame_rows]
-    X_r, _ = encode_design(f_tit, f_srv, f_reg, region_levels)
-    if not frame_rows:
-        X_r = np.zeros((0, X_s.shape[1]))
+    frame_province, *frame_covariates = load_frame(config.frame_path, provinces)
+    X_r, _ = encode_design(*frame_covariates, region_levels)
     frame = PopulationFrame(
         X_r=X_r,
-        domain=f_prov,
+        domain=frame_province,
         domain_sizes_pop={p: info.population_units for p, info in provinces.items()},
     )
 
@@ -208,16 +205,8 @@ def cmd_fit_ebp(config: PipelineConfig) -> int:
         seed=config.ebp.seed,
     )
 
-    header = ["domain", "estimate", "estimate_clamped", "mc_sd", "B", "seed"]
-    rescaled = None
-    if config.ebp.rescale_estimates:
-        lo, hi = float(result.estimate.min()), float(result.estimate.max())
-        if hi > lo:
-            rescaled = (result.estimate - lo) / (hi - lo)
-            header.append("estimate_rescaled")
-    rows = []
-    for i, d in enumerate(result.domains):
-        row = [
+    rows = [
+        [
             d,
             fmt17(result.estimate[i]),
             fmt17(result.estimate_clamped[i]),
@@ -225,10 +214,9 @@ def cmd_fit_ebp(config: PipelineConfig) -> int:
             str(result.B),
             str(result.seed),
         ]
-        if rescaled is not None:
-            row.append(fmt17(rescaled[i]))
-        rows.append(row)
-    write_delimited(_out(config, "ebp_provinces.csv"), header, rows)
+        for i, d in enumerate(result.domains)
+    ]
+    write_delimited(_out(config, "ebp_provinces.csv"), EBP_COLUMNS, rows)
     print(
         f"nested-error fit: sigma2_u={fit.sigma2_u:.6g} sigma2_e={fit.sigma2_e:.6g} "
         f"boundary={fit.boundary}; EBP over {len(result.domains)} provinces "
@@ -247,15 +235,12 @@ def _region_weights(provinces: dict[str, ProvinceInfo]) -> dict[str, float]:
 
 
 def cmd_fit_lqmm(config: PipelineConfig) -> int:
-    provinces = load_provinces(config.province_path)
-    dataset = load_survey(config.survey_path, provinces)
-    scores = _load_scores_for(dataset.unit_id, _out(config, "scores.json"))
+    provinces, dataset, scores = _load_scored_survey(config)
 
+    # One column per titularity level, and no intercept: each term is the
+    # quantile of its level.
     X = np.column_stack(
-        [
-            [1.0 if t == "private" else 0.0 for t in dataset.titularity],
-            [1.0 if t == "public" else 0.0 for t in dataset.titularity],
-        ]
+        [[1.0 if t == level else 0.0 for t in dataset.titularity] for level in TITULARITY_LEVELS]
     )
     weights = _region_weights(provinces)
     present = sorted(set(dataset.region))
@@ -264,10 +249,10 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
         X=X,
         group=dataset.region,
         group_weights={r: weights[r] for r in present},
-        column_names=("private", "public"),
+        column_names=TITULARITY_LEVELS,
     )
 
-    crossing: dict[str, list[float]] = {"private": [], "public": []}
+    crossing: dict[str, list[float]] = {level: [] for level in TITULARITY_LEVELS}
     for idx, tau in enumerate(config.lqmm.taus):
         fit = fit_lqmm(
             data,
@@ -285,7 +270,7 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
         )
         tag = tau_tag(tau)
         rows = []
-        for j, term in enumerate(("private", "public")):
+        for j, term in enumerate(TITULARITY_LEVELS):
             rows.append(
                 [
                     tag,
@@ -303,11 +288,11 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
             rows,
         )
 
-        X_new = np.array([[1.0, 0.0], [0.0, 1.0]])
+        X_new = np.eye(len(TITULARITY_LEVELS))
         marg = predict_marginal(fit, X_new, boot)
         rows = [
             [tag, term, fmt17(pred.point), fmt17(pred.ci_low), fmt17(pred.ci_high)]
-            for term, pred in zip(("private", "public"), marg)
+            for term, pred in zip(TITULARITY_LEVELS, marg)
         ]
         write_delimited(
             _out(config, f"lqmm_pred_marginal_tau_{tag}.csv"),
@@ -318,7 +303,7 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
         rows = []
         for region in sorted(fit.u):
             cond = predict_conditional(fit, X_new, region, boot)
-            for term, pred in zip(("private", "public"), cond):
+            for term, pred in zip(TITULARITY_LEVELS, cond):
                 rows.append(
                     [
                         tag,
@@ -335,8 +320,9 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
             ("tau", "region", "titularity", "point", "ci_low", "ci_high", "region_effect"),
             rows,
         )
+        terms = " ".join(f"{term}={g:.4f}" for term, g in zip(TITULARITY_LEVELS, fit.gamma))
         print(
-            f"tau={tag}: private={fit.gamma[0]:.4f} public={fit.gamma[1]:.4f} "
+            f"tau={tag}: {terms} "
             f"psi2={fit.psi2:.6g} converged={fit.converged} "
             f"bootstrap_dropped={boot.n_dropped}/{boot.B}"
         )
@@ -348,22 +334,19 @@ def cmd_fit_lqmm(config: PipelineConfig) -> int:
 
 
 def cmd_report(config: PipelineConfig) -> int:
-    provinces = load_provinces(config.province_path)
-    dataset = load_survey(config.survey_path, provinces)
-    scores = _load_scores_for(dataset.unit_id, _out(config, "scores.json"))
+    provinces, dataset, scores = _load_scored_survey(config)
 
     ebp_path = _out(config, "ebp_provinces.csv")
     if not os.path.exists(ebp_path):
         raise ValidationError("missing fit-ebp output (run the fit-ebp stage first)")
-    reported = ("domain", "estimate", "estimate_clamped", "mc_sd")
-    _, ebp_rows = read_delimited(ebp_path, required=reported)
+    _, ebp_rows = read_delimited(ebp_path, required=EBP_COLUMNS)
     ebp_by_province: dict[str, list[float]] = {}
     for row in ebp_rows:
         if row["domain"] in ebp_by_province:
             row.fail(f"repeated domain {row['domain']!r}")
         if row["domain"] not in provinces:
             row.fail(f"domain {row['domain']!r} is not in the province file")
-        ebp_by_province[row["domain"]] = [row.number(c) for c in reported[1:]]
+        ebp_by_province[row["domain"]] = [row.number(c) for c in EBP_COLUMNS[1:4]]
 
     summary = province_summary(scores.scaled, dataset, provinces, weighted=config.flags.weighted_summaries)
 

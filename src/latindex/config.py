@@ -49,9 +49,6 @@ class EbpSettings:
     B: int = 500
     seed: int = 20240901
     statistic: str = "median"
-    # Off by default: min-max rescaling of the per-domain estimates at
-    # report time (an optional reading of the scaling step).
-    rescale_estimates: bool = False
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ class PipelineConfig:
         for name, value, kind in (
             ("flags.reml", self.flags.reml, bool),
             ("flags.weighted_summaries", self.flags.weighted_summaries, bool),
-            ("ebp.rescale_estimates", self.ebp.rescale_estimates, bool),
             ("survey_path", self.survey_path, str),
             ("province_path", self.province_path, str),
             ("frame_path", self.frame_path, str),

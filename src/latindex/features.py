@@ -1,4 +1,5 @@
-"""Survey ingestion, binary item construction and per-province summaries.
+"""Input tables (survey, provinces, population frame), binary item
+construction and per-province summaries.
 
 Builds the 13-item binary matrix fed to the latent trait model: four
 territorial indicators derived from the provincial foreign-enrollee rate
@@ -55,6 +56,9 @@ DEFAULT_LAMBDAS = (0.25, 0.5, 0.75, 1.0)
 _QUARTILES = (0.25, 0.5, 0.75)
 
 PROVINCE_COLUMNS = ("province_id", "region", "macro_area", "f_p", "population_units")
+
+# The population frame: one row per population unit not in the sample.
+FRAME_COLUMNS = ("unit_id", "province", "titularity", "service_type")
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,8 @@ def load_provinces(path) -> dict[str, ProvinceInfo]:
             row.fail(f"province {pid!r} must have a positive resident count")
         if pop < 0:
             row.fail("negative population size")
+        if pop == 0:
+            row.fail(f"province {pid!r} must have at least one population unit")
         out[pid] = ProvinceInfo(
             province=pid, region=row["region"], macro_area=row["macro_area"],
             f_p=f_p, population_units=pop,
@@ -219,6 +225,19 @@ def load_survey(path, provinces: dict[str, ProvinceInfo]) -> SurveyDataset:
     )
 
 
+def load_frame(path, provinces: dict[str, ProvinceInfo]) -> tuple[tuple[str, ...], ...]:
+    """Read the population frame: (province, titularity, service_type, region).
+
+    Each row gets the survey's check of the cells the two files share,
+    and raises at its first problem; the last three columns are
+    encode_design's arguments. A frame with no rows gives empty columns.
+    """
+    _, rows = read_delimited(path, required=FRAME_COLUMNS)
+    region = tuple(_unit_province(row, provinces).region for row in rows)
+    province, titularity, service_type = (tuple(row[c] for row in rows) for c in FRAME_COLUMNS[1:])
+    return province, titularity, service_type, region
+
+
 def save_survey(dataset: SurveyDataset, path) -> None:
     """Write a SurveyDataset back to the delimited schema (bit-exact round trip)."""
     rows = []
@@ -267,34 +286,24 @@ def foreign_rate(dataset: SurveyDataset, f_by_province: dict[str, float]) -> dic
     return out
 
 
-def foreign_indicator(
-    rates: dict[str, float],
-    lam: float,
-    base_values: dict[str, float] | None = None,
-) -> dict[str, int]:
+def foreign_indicator(rates: dict[str, float], lam: float) -> dict[str, int]:
     """Flag provinces whose rate reaches the lambda-quantile threshold.
 
-    The threshold is the type-7 (interpolated) empirical quantile of
-    base_values, which defaults to the rates themselves; passing raw
-    resident counts instead reproduces the literal count-based reading
-    for sensitivity checks. Every unit of a flagged province shares the
-    indicator, so the function works at province level.
+    The threshold is the type-7 (interpolated) empirical quantile of the
+    rates. Every unit of a flagged province shares the indicator, so the
+    function works at province level.
     """
     if not 0.0 < lam <= 1.0:
         raise ValidationError("lambda must lie in (0, 1]")
     if not rates:
         raise ValidationError("rates must be nonempty")
-    base = rates if base_values is None else base_values
-    threshold = float(np.quantile(np.array(list(base.values()), dtype=float), lam))
+    threshold = float(np.quantile(np.array(list(rates.values()), dtype=float), lam))
     return {p: int(r >= threshold) for p, r in rates.items()}
 
 
-def build_item_matrix(
-    dataset: SurveyDataset,
-    rates: dict[str, float],
-    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-) -> ResponseMatrix:
-    """Assemble the binary item matrix: territorial indicators then raw items.
+def build_item_matrix(dataset: SurveyDataset, rates: dict[str, float]) -> ResponseMatrix:
+    """Assemble the binary item matrix: territorial indicators at
+    DEFAULT_LAMBDAS, then raw items.
 
     Indicator columns are constant within each province by construction.
     Degenerate (constant) items are flagged on the ResponseMatrix, not
@@ -303,7 +312,7 @@ def build_item_matrix(
     n = dataset.n_units
     columns: list[np.ndarray] = []
     names: list[str] = []
-    for lam in lambdas:
+    for lam in DEFAULT_LAMBDAS:
         flags = foreign_indicator(rates, lam)
         col = np.array([float(flags[p]) for p in dataset.province])
         columns.append(col)

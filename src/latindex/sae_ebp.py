@@ -95,7 +95,8 @@ class PopulationFrame:
 
     X_r rows cover only the units NOT in the sample, encoded with the same
     columns as SampleData.X. domain_sizes_pop[d] is the total number of
-    population units of domain d (sampled + unsampled); domains with no
+    population units of domain d (sampled + unsampled), at least 1, as a
+    domain without units has no statistic to predict; domains with no
     sampled units at all are allowed.
     """
 
@@ -112,6 +113,9 @@ class PopulationFrame:
         object.__setattr__(self, "domain_sizes_pop", dict(self.domain_sizes_pop))
         if len(self.domain) != X_r.shape[0]:
             raise ValidationError("domain labels must match the number of frame rows")
+        for d, M in self.domain_sizes_pop.items():
+            if M < 1:
+                raise ValidationError(f"domain {d!r} must have at least one population unit")
         if not np.all(np.isfinite(X_r)):
             raise ValidationError("frame covariates must be finite")
         for d, c in Counter(self.domain).items():

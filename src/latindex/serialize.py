@@ -97,29 +97,33 @@ def read_delimited(path, required: Sequence[str] | None = None) -> tuple[list[st
     """Read a delimited file into (header, rows), checking required columns.
 
     Blank lines are skipped, and each Row records the line it starts on.
-    A header that names a column twice is a SchemaError.
+    A header that names a column twice, or a file that is not UTF-8
+    text, is a SchemaError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next((raw for raw in reader if raw), None)
-        if header is None:
-            raise SchemaError(f"{path}: file is empty")
-        repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
-        if repeated is not None:  # a Row would silently keep its last cell
-            raise SchemaError(f"{path}: column {repeated!r} appears twice in the header")
-        if required is not None:
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
-        rows = []
-        end = reader.line_num
-        for raw in reader:
-            start, end = end + 1, reader.line_num
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise SchemaError(f"{path}:{start}: expected {len(header)} fields, got {len(raw)}")
-            rows.append(Row(zip(header, raw), path, start))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next((raw for raw in reader if raw), None)
+            if header is None:
+                raise SchemaError(f"{path}: file is empty")
+            repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+            if repeated is not None:  # a Row would silently keep its last cell
+                raise SchemaError(f"{path}: column {repeated!r} appears twice in the header")
+            if required is not None:
+                missing = [c for c in required if c not in header]
+                if missing:
+                    raise SchemaError(f"{path}: missing mandatory column(s): {', '.join(missing)}")
+            rows = []
+            end = reader.line_num
+            for raw in reader:
+                start, end = end + 1, reader.line_num
+                if not raw:
+                    continue
+                if len(raw) != len(header):
+                    raise SchemaError(f"{path}:{start}: expected {len(header)} fields, got {len(raw)}")
+                rows.append(Row(zip(header, raw), path, start))
+    except UnicodeDecodeError:  # decoded a block at a time, so no line to name
+        raise SchemaError(f"{path}: file is not UTF-8 text") from None
     return header, rows
 
 

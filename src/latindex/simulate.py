@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import SimulateSettings
 from .errors import ValidationError
-from .features import RAW_ITEMS, SurveyDataset, save_survey
+from .features import FRAME_COLUMNS, PROVINCE_COLUMNS, RAW_ITEMS, SurveyDataset, save_survey
 from .serialize import write_delimited
 
 N_PROVINCES = 110
@@ -177,13 +177,5 @@ def generate_fixture(settings: SimulateSettings) -> Fixture:
 def write_fixture(fixture: Fixture, survey_path, province_path, frame_path) -> None:
     """Write the three fixture files with the documented schemas."""
     save_survey(fixture.dataset, survey_path)
-    write_delimited(
-        province_path,
-        ("province_id", "region", "macro_area", "f_p", "population_units"),
-        fixture.province_rows,
-    )
-    write_delimited(
-        frame_path,
-        ("unit_id", "province", "titularity", "service_type"),
-        fixture.frame_rows,
-    )
+    write_delimited(province_path, PROVINCE_COLUMNS, fixture.province_rows)
+    write_delimited(frame_path, FRAME_COLUMNS, fixture.frame_rows)

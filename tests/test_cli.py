@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from latindex import cli
 from latindex.config import MIN_SIMULATED_UNITS, SimulateSettings, load_config
 from latindex.errors import ValidationError
-from latindex.serialize import read_delimited
+from latindex.serialize import read_delimited, write_delimited
 from latindex.simulate import generate_fixture
 
 
@@ -23,7 +24,7 @@ def pipeline_config(tmp_path):
         "output_dir": str(tmp_path / "out"),
         "simulate": {"seed": 21, "n_units": 400},
         "em": {"max_iter": 500, "tol": 1e-6, "ridge": 1e-4},
-        "ebp": {"B": 40, "seed": 5, "statistic": "median", "rescale_estimates": False},
+        "ebp": {"B": 40, "seed": 5, "statistic": "median"},
         "lqmm": {"taus": [0.5], "bootstrap_B": 50, "seed": 9, "restarts": 2},
     }
     path = tmp_path / "config.json"
@@ -92,7 +93,6 @@ class TestShowConfig:
             '{"simulate": {"seed": -1}}',
             '{"flags": {"reml": "no"}}',
             '{"flags": {"weighted_summaries": 1}}',
-            '{"ebp": {"rescale_estimates": null}}',
             '{"output_dir": 5}',
             '{"lqmm": {"taus": [0.25, 0.25]}}',
             '{"lqmm": {"taus": [0.5, 0.5000001]}}',
@@ -117,7 +117,6 @@ class TestShowConfig:
             "negative-simulate-seed",
             "string-reml-flag",
             "int-weighted-summaries-flag",
-            "null-rescale-estimates-flag",
             "int-output-dir",
             "repeated-tau",
             "taus-sharing-a-file-tag",
@@ -138,9 +137,21 @@ class TestShowConfig:
 
     def test_removed_quantile_base_flag_is_an_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "old.json"
-        path.write_text('{"flags": {"quantile_base": "rates"}}')
-        assert cli.main(["show-config", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == "validation error: unknown config key(s): quantile_base\n"
+        for text, key in (
+            ('{"flags": {"quantile_base": "rates"}}', "quantile_base"),
+            ('{"ebp": {"rescale_estimates": false}}', "rescale_estimates"),
+        ):
+            path.write_text(text)
+            assert cli.main(["show-config", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"validation error: unknown config key(s): {key}\n"
+
+    def test_printed_config_reads_back_to_the_same_bytes(self, tmp_path, capsys):
+        assert cli.main(["show-config"]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "config.json"
+        path.write_text(printed)
+        assert cli.main(["show-config", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == printed
 
 
 class TestSimulateAndFeatures:
@@ -224,6 +235,26 @@ class TestSimulateAndFeatures:
         corrupt(path, 3, "unit_id", first)
         assert run("features", pipeline_config) == 2
         assert_validation_error(capsys, f"{path}:3: unit_id {first!r} repeats the unit of line 2")
+
+    def test_province_without_population_units_exits_2(self, pipeline_config, capsys):
+        # The unsampled p110 (line 111) with no population units: fit-ebp
+        # would predict a median of nothing, and report would refuse its nan.
+        assert run("simulate", pipeline_config) == 0
+        path = load_config(pipeline_config).province_path
+        corrupt(path, 111, "population_units", "0")
+        assert run("features", pipeline_config) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {path}:111: province 'p110' must have at least one population unit\n"
+        )
+
+    @pytest.mark.parametrize("file", ["survey_path", "province_path"])
+    def test_non_utf8_input_exits_2_in_one_line(self, pipeline_config, capsys, file):
+        assert run("simulate", pipeline_config) == 0
+        path = getattr(load_config(pipeline_config), file)
+        lines = open(path, "rb").read().splitlines(keepends=True)
+        open(path, "wb").writelines(lines[:2] + [b"\xff\xfe\n"] + lines[2:])
+        assert run("features", pipeline_config) == 2
+        assert capsys.readouterr().err == f"validation error: {path}: file is not UTF-8 text\n"
 
     def test_missing_file_exits_2(self, pipeline_config):
         assert run("features", pipeline_config) == 2
@@ -455,6 +486,38 @@ class TestFitStages:
         corrupt(cfg.frame_path, 9, column, value)
         assert run("fit-ebp", after_ltm) == 2
         assert_validation_error(capsys, f"{cfg.frame_path}:9: {message}")
+
+    def test_non_utf8_frame_exits_2_in_one_line(self, after_ltm, capsys):
+        cfg = load_config(after_ltm)
+        open(cfg.frame_path, "ab").write(b"\xff\xfe\n")
+        assert run("fit-ebp", after_ltm) == 2
+        assert capsys.readouterr().err == f"validation error: {cfg.frame_path}: file is not UTF-8 text\n"
+
+    def test_header_only_frame_predicts_the_direct_medians(self, after_ltm):
+        # Every province fully sampled: the frame has no rows, and each
+        # EBP estimate is its province's median score, with no MC error.
+        cfg = load_config(after_ltm)
+        province = [r["province"] for r in read_delimited(cfg.survey_path)[1]]
+        sampled = Counter(province)
+        header, rows = read_delimited(cfg.province_path)
+        kept = [
+            [*(r[c] for c in header if c != "population_units"), str(sampled[r["province_id"]])]
+            for r in rows
+            if r["province_id"] in sampled
+        ]
+        assert header[-1] == "population_units" and len(kept) == len(rows) - 1  # p110 is dropped
+        write_delimited(cfg.province_path, header, kept)
+        write_delimited(cfg.frame_path, read_delimited(cfg.frame_path)[0], [])
+        assert run("fit-ebp", after_ltm) == 0
+
+        scores = json.loads(open(os.path.join(cfg.output_dir, "scores.json")).read())
+        scaled = np.array([u["scaled"] for u in scores["units"]])
+        province = np.array(province, dtype=object)
+        _, ebp = read_delimited(os.path.join(cfg.output_dir, "ebp_provinces.csv"))
+        assert [r["domain"] for r in ebp] == sorted(sampled)
+        for r in ebp:
+            assert float(r["estimate"]) == np.median(scaled[province == r["domain"]])
+            assert float(r["mc_sd"]) == 0.0
 
     def test_ebp_table_without_mc_sd_exits_2(self, after_ltm, capsys):
         assert run("fit-ebp", after_ltm) == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from latindex.errors import SchemaError, ValidationError
 from latindex.features import (
     DEFAULT_LAMBDAS,
+    FRAME_COLUMNS,
     RAW_ITEMS,
     SURVEY_COLUMNS,
     ProvinceInfo,
@@ -13,6 +14,7 @@ from latindex.features import (
     build_item_matrix,
     foreign_indicator,
     foreign_rate,
+    load_frame,
     load_provinces,
     load_survey,
     province_summary,
@@ -133,6 +135,27 @@ class TestLoadSurvey:
         assert out.read_bytes() == out2.read_bytes()
 
 
+class TestLoadFrame:
+    def provinces(self, tmp_path):
+        path = tmp_path / "provinces.csv"
+        write_province_file(path, [("p1", "r1", "north", 10, 8), ("p3", "r2", "south", 5, 8)])
+        return load_provinces(path)
+
+    def test_columns_in_encode_design_order(self, tmp_path):
+        frame = tmp_path / "frame.csv"
+        frame.write_text(
+            ",".join(FRAME_COLUMNS) + "\n" + "f1,p3,public,kindergarten\n" + "f2,p1,private,spring_section\n"
+        )
+        assert load_frame(frame, self.provinces(tmp_path)) == (
+            ("p3", "p1"), ("public", "private"), ("kindergarten", "spring_section"), ("r2", "r1")
+        )
+
+    def test_header_only_frame_gives_empty_columns(self, tmp_path):
+        frame = tmp_path / "frame.csv"
+        frame.write_text(",".join(FRAME_COLUMNS) + "\n")
+        assert load_frame(frame, self.provinces(tmp_path)) == ((), (), (), ())
+
+
 class TestForeignRate:
     def test_direct_ratio(self):
         ds = small_dataset()
@@ -174,13 +197,6 @@ class TestForeignIndicator:
             f75 = foreign_indicator(rates, 0.75)
             for p in rates:
                 assert f75[p] <= f50[p] <= f25[p]
-
-    def test_count_base_sensitivity_option(self):
-        rates = {"a": 0.9, "b": 0.1}
-        counts = {"a": 5.0, "b": 100.0}
-        flags = foreign_indicator(rates, 0.5, base_values=counts)
-        # Threshold is the quantile of the counts (52.5): no rate reaches it.
-        assert flags == {"a": 0, "b": 0}
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValidationError):

@@ -324,6 +324,12 @@ def tiny_world(rng, n_domains=5, pop=20, sampled=6, include_unsampled=True,
     return sample, frame
 
 
+class TestPopulationFrame:
+    def test_domain_without_population_units_rejected(self):
+        with pytest.raises(ValidationError, match="domain 'b' must have at least one population unit"):
+            PopulationFrame(X_r=np.ones((2, 1)), domain=["a", "a"], domain_sizes_pop={"a": 3, "b": 0})
+
+
 class TestSimulateCensus:
     def test_deterministic_and_complete(self):
         rng = np.random.default_rng(31)
